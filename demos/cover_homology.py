@@ -27,7 +27,6 @@ from braidforge import (
     symmetry_check,
     word,
 )
-from braidforge.cover import _int_inverse
 
 print("== cover invariants ==")
 for n, k in [(2, 2), (3, 2), (3, 3), (5, 4)]:
@@ -82,4 +81,4 @@ b = parse_word("1 -2 2 1 -1 2", 3)
 print("reduced Burau entries of σ1 in B_3:", [burau_reduced(word(3, [1])).entry(r, c) for r in range(2) for c in range(2)])
 V = base_change(3, 2)
 H = homology_rep(lift_word(b, 2))
-print("V^-1 H V == Burau at the companion matrix:", np.array_equal(_int_inverse(V) @ H @ V, burau_at_companion(b, 2)))
+print("H·V == V·B, B = Burau at the companion matrix:", np.array_equal(H @ V, V @ burau_at_companion(b, 2)))

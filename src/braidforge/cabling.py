@@ -186,7 +186,8 @@ def assemble(rf: RegularForm) -> BraidWord:
     strand block of the orbit's first tube position.
     """
     cabled, final_arr = _cable_word(rf.tubular, rf.widths)
-    assert final_arr == rf.widths  # widths constant on orbits
+    if final_arr != rf.widths:  # widths are constant on orbits
+        raise AssertionError("internal error: cabling ended on a different width arrangement")
     n = rf.composite_strands
     out = cabled
     for orbit, interior in zip(orbit_structure(rf.tubular), rf.interiors):
@@ -364,7 +365,8 @@ def cable_certificate(
     for band in tubular_cert.bands:
         bands.extend(_certify_cabled_band(arr, band))
         arr = _permute_arrangement(arr, underlying_permutation(band.to_word()))
-    assert arr == widths
+    if arr != widths:
+        raise AssertionError("internal error: cabled bands ended on a different width arrangement")
     for orbit, cert in zip(orbits, interior_certs):
         offset = _block_start(widths, orbit[0]) - 1
         for band in cert.bands:

@@ -184,6 +184,8 @@ def run(argv: list[str]) -> int:
     as_json = getattr(args, "json", False)
 
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         if args.command == "nf":
             w = parse_word(args.word, args.n)
             nf = garside.normal_form(w)

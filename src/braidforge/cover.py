@@ -11,15 +11,15 @@ transvection x ↦ x + <x, c>·c in the intersection pairing.
 
 Two basis curves can pair only when adjacent in the band grid, and the deck
 orbit relation forces the same-column and diagonal pairings between adjacent
-rows to cancel; that still leaves orientation conventions (same-row sign,
-cross-row sign, which diagonal carries the cancelling sign) that no formula
-here dictates.  A build-time search over the eight candidates picks the
-convention — cached per process — under which the braid relations hold on
-H_1, the deck transformation preserves the form and commutes with every
-lifted braid, the chain relations act trivially, and the representation is
-integrally conjugate to reduced Burau evaluated at the companion matrix of
-1 + t + ... + t^{k-1}.  That conjugacy, by an explicit unimodular base
-change, doubles as an independent cross-check of the whole construction.
+rows to cancel.  The remaining orientation choices are fixed as constants
+(see `intersection_form`): under them the braid relations hold on H_1, the
+deck transformation preserves the form and commutes with every lifted braid,
+the chain relations act trivially, and the representation is integrally
+conjugate to reduced Burau evaluated at the companion matrix K of
+1 + t + ... + t^{k-1}.  That conjugacy, by the closed-form unimodular base
+change V = diag(W, W^2, ..., W^{n-1}) with W = -K^{-1}, doubles as an
+independent cross-check of the whole construction; `base_change` verifies it
+on the generators before returning it.
 
 Everything is exact: integer matrices use Python integers (numpy object
 arrays), Burau matrices are Laurent polynomials with integer coefficients.
@@ -29,16 +29,14 @@ in the mapping class group, never claimed sufficient.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
-from .words import BraidWord
+from .words import BraidWord, word
 
 __all__ = [
     "CoverData",
@@ -189,7 +187,7 @@ def format_twist_word(w: TwistWord) -> str:
     )
 
 
-# --- exact integer/rational linear algebra --------------------------------------
+# --- exact integer linear algebra ----------------------------------------------
 
 
 def _int_matrix(rows) -> np.ndarray:
@@ -200,86 +198,6 @@ def _identity(d: int) -> np.ndarray:
     return _int_matrix([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
 
-def _det(mat: np.ndarray) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix."""
-    m = [[int(v) for v in row] for row in mat]
-    d = len(m)
-    if d == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for p in range(d - 1):
-        if m[p][p] == 0:
-            for r in range(p + 1, d):
-                if m[r][p] != 0:
-                    m[p], m[r] = m[r], m[p]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(p + 1, d):
-            for c in range(p + 1, d):
-                m[r][c] = (m[r][c] * m[p][p] - m[r][p] * m[p][c]) // prev
-            m[r][p] = 0
-        prev = m[p][p]
-    return sign * m[d - 1][d - 1]
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
-    rref, pivots = _rref([[Fraction(v) for v in row] for row in rows])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def _int_inverse(mat: np.ndarray) -> np.ndarray:
-    """Exact inverse of a unimodular integer matrix."""
-    d = mat.shape[0]
-    aug = [
-        [Fraction(int(mat[i, j])) for j in range(d)]
-        + [Fraction(1 if i == j else 0) for j in range(d)]
-        for i in range(d)
-    ]
-    rref, pivots = _rref(aug)
-    if pivots != list(range(d)):
-        raise ValueError("matrix is singular")
-    inv = [[rref[i][d + j] for j in range(d)] for i in range(d)]
-    if any(v.denominator != 1 for row in inv for v in row):
-        raise ValueError("matrix is not unimodular over the integers")
-    return _int_matrix([[v.numerator for v in row] for row in inv])
-
-
 # --- intersection form, deck action, transvections ------------------------------
 
 
@@ -287,14 +205,18 @@ def _basis_index(i: int, l: int, k: int) -> int:
     return (i - 1) * (k - 1) + (l - 1)
 
 
-def _form_from_signs(n: int, k: int, signs: tuple[int, int, int]) -> np.ndarray:
+@lru_cache(maxsize=None)
+def intersection_form(n: int, k: int) -> np.ndarray:
     """
-    The candidate pairing matrix for (same-row sign, cross-row sign, diagonal
-    side): only curves adjacent in the band grid can pair, and the diagonal
-    neighbour on the chosen side pairs opposite to the same-column neighbour,
-    as the cyclic deck orbit relation demands.
+    The antisymmetric intersection pairing of the basis curve classes.  Only
+    curves adjacent in the band grid pair: e_{i,l} with e_{i,l+1} to -1, with
+    e_{i+1,l} to -1, and with the diagonal neighbour e_{i+1,l-1} to +1, the
+    opposite of its same-column neighbour, as the cyclic deck orbit relation
+    demands.  The signs are a fixed orientation convention; the other sign
+    choices that satisfy the same relations differ from it by reorienting
+    curves or reflecting the surface, which no identity here can see.
     """
-    same_row, cross_row, diag_side = signs
+    cover_data(n, k)
     d = (n - 1) * (k - 1)
     J = [[0] * d for _ in range(d)]
 
@@ -306,12 +228,11 @@ def _form_from_signs(n: int, k: int, signs: tuple[int, int, int]) -> np.ndarray:
         for l in range(1, k):
             e = _basis_index(i, l, k)
             if l + 1 <= k - 1:
-                put(e, _basis_index(i, l + 1, k), same_row)
+                put(e, _basis_index(i, l + 1, k), -1)
             if i + 1 <= n - 1:
-                put(e, _basis_index(i + 1, l, k), cross_row)
-                ld = l + diag_side
-                if 1 <= ld <= k - 1:
-                    put(e, _basis_index(i + 1, ld, k), -cross_row)
+                put(e, _basis_index(i + 1, l, k), -1)
+                if l - 1 >= 1:
+                    put(e, _basis_index(i + 1, l - 1, k), 1)
     return _int_matrix(J)
 
 
@@ -441,81 +362,20 @@ class LaurentMatrix:
             e: int(m[r, c]) for e, m in self._trimmed().items() if m[r, c] != 0
         }
 
-    def evaluate_int(self, t: Fraction | int) -> list[list[Fraction]]:
-        """Exact evaluation at a nonzero rational t."""
-        t = Fraction(t)
-        out = [[Fraction(0)] * self.size for _ in range(self.size)]
-        for e, m in self.coeffs.items():
-            te = t**e
-            for r in range(self.size):
-                for c in range(self.size):
-                    if m[r, c]:
-                        out[r][c] += int(m[r, c]) * te
-        return out
-
     def at_matrix(self, K: np.ndarray) -> np.ndarray:
-        """Blockwise substitution of an invertible integer matrix for t:
-        entry p(t) becomes the block p(K)."""
-        powers = {0: _identity(K.shape[0])}
-        K_inv = None
-        acc = None
-        for e, m in sorted(self._trimmed().items()):
-            if e not in powers:
-                if e > 0:
-                    p = max(x for x in powers if x >= 0)
-                    mat = powers[p]
-                    while p < e:
-                        mat = mat @ K
-                        p += 1
-                        powers[p] = mat
-                else:
-                    if K_inv is None:
-                        K_inv = _int_inverse(K)
-                    p = min(x for x in powers if x <= 0)
-                    mat = powers[p]
-                    while p > e:
-                        mat = mat @ K_inv
-                        p -= 1
-                        powers[p] = mat
-            term = np.kron(m, powers[e])
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = np.kron(_int_matrix([[0] * self.size for _ in range(self.size)]), powers[0])
+        """Blockwise substitution of the companion matrix K of
+        1 + t + ... + t^{k-1} for t: entry p(t) becomes the block p(K).
+        K has order k, so K^e = K^(e mod k) and K^{-1} = K^{k-1}."""
+        k = K.shape[0] + 1
+        powers = [_identity(k - 1)]
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ K)
+        if not np.array_equal(powers[-1] @ K, powers[0]):
+            raise ValueError("at_matrix needs the companion matrix of 1 + t + ... + t^{k-1}")
+        acc = np.zeros((self.size * (k - 1),) * 2, dtype=object)
+        for e, m in self._trimmed().items():
+            acc = acc + np.kron(m, powers[e % k])
         return acc
-
-    def determinant(self) -> dict[int, int]:
-        """Laurent determinant by Leibniz expansion (desk-scale sizes)."""
-        det: dict[int, int] = {}
-        for perm in itertools.permutations(range(self.size)):
-            sign = 1
-            seen = [False] * self.size
-            for start in range(self.size):
-                if seen[start]:
-                    continue
-                length = 0
-                x = start
-                while not seen[x]:
-                    seen[x] = True
-                    x = perm[x]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            term = {0: sign}
-            for r in range(self.size):
-                term = _poly_mul(term, self.entry(r, perm[r]))
-                if not term:
-                    break
-            for e, v in term.items():
-                det[e] = det.get(e, 0) + v
-        return {e: v for e, v in det.items() if v}
-
-
-def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
-    return {e: v for e, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -590,158 +450,36 @@ def burau_at_companion(b: BraidWord, k: int) -> np.ndarray:
     return burau_reduced(b).at_matrix(_companion(k))
 
 
-# --- sign convention search and the Burau base change ----------------------------
-
-
-_RELATION_PAIRS = {
-    # braid relation instances and far commutations checked in the battery
-    3: [([1, 2, 1], [2, 1, 2])],
-    4: [([1, 2, 1], [2, 1, 2]), ([2, 3, 2], [3, 2, 3]), ([1, 3], [3, 1])],
-}
-
-_BATTERY = [(3, 2), (2, 3), (3, 3), (4, 2), (4, 3)]
-
-
-def _candidate_ok(signs: tuple[int, int, int], n: int, k: int) -> bool:
-    J = _form_from_signs(n, k, signs)
-    D = deck_matrix(n, k)
-    if not np.array_equal(D.T @ J @ D, J):
-        return False
-    gens = {}
-    for i in range(1, n):
-        rep = _identity((n - 1) * (k - 1))
-        for l in range(1, k):
-            rep = rep @ transvection(_class_vec(i, l, n, k), J)
-        gens[i] = rep
-        if not np.array_equal(rep @ D, D @ rep):
-            return False
-    for left, right in _RELATION_PAIRS.get(n, []):
-        lm = _word_rep(left, gens)
-        rm = _word_rep(right, gens)
-        if not np.array_equal(lm, rm):
-            return False
-    if (n, k) in ((3, 2), (4, 2)):
-        chain = [1, 2] * 6 if n == 3 else [1, 2, 3] * 4
-        if not np.array_equal(_word_rep(chain, gens), _identity((n - 1) * (k - 1))):
-            return False
-    return _find_base_change(n, k, gens) is not None
-
-
-def _class_vec(i: int, l: int, n: int, k: int) -> np.ndarray:
-    vec = [0] * ((n - 1) * (k - 1))
-    vec[_basis_index(i, l, k)] = 1
-    return np.array(vec, dtype=object)
-
-
-def _word_rep(indices: list[int], gens: dict[int, np.ndarray]) -> np.ndarray:
-    out = None
-    for i in indices:
-        out = gens[i] if out is None else out @ gens[i]
-    return out
-
-
-def _find_base_change(
-    n: int, k: int, gens: dict[int, np.ndarray]
-) -> np.ndarray | None:
-    """A unimodular V with H_i·V = V·B_i for all generator images H_i and
-    Burau-at-companion images B_i, or None."""
-    from .words import word
-
-    d = (n - 1) * (k - 1)
-    rows: list[list[Fraction]] = []
-    for i in range(1, n):
-        H = gens[i]
-        B = burau_at_companion(word(n, [i]), k)
-        # vec(V) stacked by columns: (I ⊗ H - B^T ⊗ I) vec(V) = 0
-        block = np.kron(_identity(d), H) - np.kron(B.T, _identity(d))
-        rows.extend([Fraction(int(v)) for v in row] for row in block)
-    basis = _nullspace(rows, d * d)
-    if not basis:
-        return None
-    candidates = []
-    for vec in basis:
-        denom = 1
-        for v in vec:
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ints = [int(v * denom) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g:
-            ints = [v // g for v in ints]
-        candidates.append(ints)
-
-    def to_matrix(vec_ints):
-        V = [[0] * d for _ in range(d)]
-        for idx, v in enumerate(vec_ints):
-            V[idx % d][idx // d] = v  # column-stacked
-        return _int_matrix(V)
-
-    if len(candidates) == 1:
-        V = to_matrix(candidates[0])
-        return V if abs(_det(V)) == 1 else None
-    for coeffs in itertools.product(range(-2, 3), repeat=len(candidates)):
-        if all(c == 0 for c in coeffs):
-            continue
-        vec = [
-            sum(c * cand[idx] for c, cand in zip(coeffs, candidates))
-            for idx in range(d * d)
-        ]
-        V = to_matrix(vec)
-        if abs(_det(V)) == 1:
-            return V
-    return None
-
-
-@lru_cache(maxsize=None)
-def _sign_convention() -> tuple[int, int, int]:
-    """
-    The orientation convention for the basis curves, fixed once per process
-    by filtering the eight candidates through the battery.  Several
-    candidates pass (they differ by reorienting curves and reflecting the
-    surface, which no identity here can see); the lexicographically smallest
-    is chosen, deterministically.
-    """
-    survivors = []
-    for same_row in (1, -1):
-        for cross_row in (1, -1):
-            for diag_side in (-1, 1):
-                signs = (same_row, cross_row, diag_side)
-                if all(_candidate_ok(signs, n, k) for n, k in _BATTERY):
-                    survivors.append(signs)
-    if not survivors:
-        raise AssertionError(
-            "internal error: no intersection-sign convention passes the "
-            "relation and Burau cross-checks"
-        )
-    return sorted(survivors)[0]
-
-
-@lru_cache(maxsize=None)
-def intersection_form(n: int, k: int) -> np.ndarray:
-    """The antisymmetric intersection pairing of the basis curve classes,
-    under the convention selected by the build-time self-test."""
-    cover_data(n, k)
-    return _form_from_signs(n, k, _sign_convention())
+# --- the Burau base change --------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def base_change(n: int, k: int) -> np.ndarray:
-    """The unimodular V with homology_rep(lift(b))·V = V·burau_at_companion(b)
-    for every braid b on n strands."""
+    """
+    The unimodular V with homology_rep(lift(b))·V = V·burau_at_companion(b)
+    for every braid b on n strands: V = diag(W, W^2, ..., W^{n-1}) with
+    W = -K^{k-1} = -K^{-1}, K the companion matrix of 1 + t + ... + t^{k-1}.
+    It is unique up to the commutant of the Burau images.  Before returning,
+    V is checked on every generator σ_i, and W·(-K) = I, which makes V
+    unimodular.
+    """
     cover_data(n, k)
-    J = intersection_form(n, k)
-    gens = {}
+    K = _companion(k)
+    W = -np.linalg.matrix_power(K, k - 1)
+    if not np.array_equal(W @ -K, _identity(k - 1)):
+        raise AssertionError(f"internal error: -K^{{k-1}} is not the inverse of -K for k = {k}")
+    m = k - 1
+    V = np.zeros(((n - 1) * m, (n - 1) * m), dtype=object)
+    block = _identity(m)
+    for i in range(n - 1):
+        block = block @ W
+        V[i * m : (i + 1) * m, i * m : (i + 1) * m] = block
     for i in range(1, n):
-        rep = _identity((n - 1) * (k - 1))
-        for l in range(1, k):
-            rep = rep @ transvection(_class_vec(i, l, n, k), J)
-        gens[i] = rep
-    V = _find_base_change(n, k, gens)
-    if V is None:
-        raise AssertionError(
-            f"internal error: no unimodular Burau base change for (n, k) = ({n}, {k})"
-        )
+        b = word(n, [i])
+        if not np.array_equal(homology_rep(lift_word(b, k)) @ V, V @ burau_at_companion(b, k)):
+            raise AssertionError(
+                f"internal error: the Burau base change fails on σ_{i} for (n, k) = ({n}, {k})"
+            )
     return V
 
 

@@ -188,12 +188,14 @@ def obstruct(b: BraidWord, budget: int = DEFAULT_BUDGET) -> QPVerdict:
             return QPVerdict(QPStatus.UNKNOWN)
         if res.conjugate:
             cert = QPCertificate(n, (Band(res.witness, 1),))
-            assert verify(cert, b)
+            if not verify(cert, b):
+                raise AssertionError("internal error: band certificate failed verification")
             return QPVerdict(QPStatus.QP, certificate=cert)
         return QPVerdict(QPStatus.NOT_QP, NotQPReason.ABELIANIZATION_ONE_NOT_BAND)
     if nf.delta_power >= 0:
         cert = trivial_certificate(nf_to_word(nf))
-        assert verify(cert, b)
+        if not verify(cert, b):
+            raise AssertionError("internal error: positive certificate failed verification")
         return QPVerdict(QPStatus.QP, certificate=cert)
     return QPVerdict(QPStatus.UNKNOWN)
 
@@ -216,7 +218,8 @@ def qp_root_periodic(
         return cert
     witness = is_conjugate(power(c, d), b, budget=budget).witness
     cert = conjugate_certificate(cert, witness)
-    assert is_equal(power(expand(cert), d), b)
+    if not is_equal(power(expand(cert), d), b):
+        raise AssertionError("internal error: root certificate failed verification")
     return cert
 
 
@@ -236,8 +239,21 @@ def certificate_to_json(cert: QPCertificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> QPCertificate:
+    """Inverse of certificate_to_json; raises ValueError on any other shape."""
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("n"), int)
+        and isinstance(data.get("bands"), list)
+    ):
+        raise ValueError('certificate must be an object with an integer "n" and a "bands" list')
     n = data["n"]
-    bands = tuple(
-        Band(parse_word(entry["conj"], n), entry["gen"]) for entry in data["bands"]
-    )
-    return QPCertificate(n, bands)
+    bands = []
+    for entry in data["bands"]:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("conj"), str)
+            and isinstance(entry.get("gen"), int)
+        ):
+            raise ValueError('each band must be an object with a "conj" word and an integer "gen"')
+        bands.append(Band(parse_word(entry["conj"], n), entry["gen"]))
+    return QPCertificate(n, tuple(bands))

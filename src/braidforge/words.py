@@ -284,35 +284,6 @@ def parse_word(text: str, n: int) -> BraidWord:
     tokens = _tokenize(text)
     idx = 0
 
-    def parse_items(depth: int) -> list[int]:
-        nonlocal idx
-        out: list[int] = []
-        while idx < len(tokens):
-            kind, value, pos = tokens[idx]
-            if kind == "int":
-                idx += 1
-                if value == 0:
-                    raise WordSyntaxError("0 is not a generator", pos)
-                if abs(value) > n - 1:
-                    raise ValueError(
-                        f"generator index {value} out of range [1, {n - 1}] at position {pos}"
-                    )
-                out.extend(_apply_power([value], parse_pow()))
-            elif kind == "(":
-                idx += 1
-                group = parse_items(depth + 1)
-                if idx >= len(tokens) or tokens[idx][0] != ")":
-                    raise WordSyntaxError("unclosed '('", pos)
-                idx += 1
-                out.extend(_apply_power(group, parse_pow()))
-            elif kind == ")":
-                if depth == 0:
-                    raise WordSyntaxError("unmatched ')'", pos)
-                return out
-            else:
-                raise WordSyntaxError("'^' must follow an item", pos)
-        return out
-
     def parse_pow() -> int:
         nonlocal idx
         if idx < len(tokens) and tokens[idx][0] == "^":
@@ -325,8 +296,35 @@ def parse_word(text: str, n: int) -> BraidWord:
             return exponent
         return 1
 
-    ints = parse_items(0)
-    return word(n, ints)
+    # one frame per open group: the enclosing items so far and the '(' position,
+    # so nesting depth costs heap, not Python stack
+    stack: list[tuple[list[int], int]] = []
+    out: list[int] = []
+    while idx < len(tokens):
+        kind, value, pos = tokens[idx]
+        idx += 1
+        if kind == "int":
+            if value == 0:
+                raise WordSyntaxError("0 is not a generator", pos)
+            if abs(value) > n - 1:
+                raise ValueError(
+                    f"generator index {value} out of range [1, {n - 1}] at position {pos}"
+                )
+            out.extend(_apply_power([value], parse_pow()))
+        elif kind == "(":
+            stack.append((out, pos))
+            out = []
+        elif kind == ")":
+            if not stack:
+                raise WordSyntaxError("unmatched ')'", pos)
+            group = out
+            out = stack.pop()[0]
+            out.extend(_apply_power(group, parse_pow()))
+        else:
+            raise WordSyntaxError("'^' must follow an item", pos)
+    if stack:
+        raise WordSyntaxError("unclosed '('", stack[-1][1])
+    return word(n, out)
 
 
 def _apply_power(ints: list[int], exponent: int) -> list[int]:

@@ -2,9 +2,10 @@
 Acceptance suite: one test per criterion, each timed against its stated
 bound and printing a PASS line (run with `pytest tests/test_acceptance.py -v -s`
 to see them).  The underlying computations live in braidforge.checks, shared
-with the `verify-paper` CLI subcommand; the convention search and base
-changes are warmed up front, since they are build-time self-tests rather
-than per-criterion work.
+with the `verify-paper` CLI subcommand; the cached intersection forms, base
+changes (each verified on the generators when built) and half-twist normal
+forms are warmed up front, since they are one-time set-up rather than
+per-criterion work.
 """
 
 import time

@@ -23,6 +23,12 @@ def test_nf(capsys):
     assert code == 0
     assert report["schema"] == "braidforge/1"
     assert report["verdict"]["normal_form"] == {"n": 3, "delta": 1, "factors": []}
+    # nesting depth is not limited by the Python stack
+    depth = 5000
+    code, deep = run_json(capsys, ["nf", "-n", "3", "(" * depth + "1" + ")" * depth])
+    _, flat = run_json(capsys, ["nf", "-n", "3", "1"])
+    assert code == 0 and deep["verdict"] == flat["verdict"]
+    assert deep["witnesses"] == flat["witnesses"]
 
 
 def test_eq_band_identity(capsys):
@@ -164,9 +170,29 @@ def test_usage_error_exit_code():
     assert err.value.code == 1
 
 
+def fails_with_one_line(capsys, argv) -> bool:
+    capsys.readouterr()
+    code = run(argv)
+    err = capsys.readouterr().err
+    return code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_parse_error_exit_code(capsys):
     assert run(["nf", "-n", "3", "1 x"]) == 1
     assert run(["nf", "-n", "3", "7"]) == 1
+    # certificate JSON of the wrong shape
+    for cert in [
+        "[1]",
+        "3",
+        '{"n": 4}',
+        '{"n": "4", "bands": []}',
+        '{"n": 4, "bands": {}}',
+        '{"n": 4, "bands": [1]}',
+        '{"n": 4, "bands": [{"conj": 2, "gen": 3}]}',
+        '{"n": 4, "bands": [{"conj": "2"}]}',
+    ]:
+        assert fails_with_one_line(capsys, ["qp", "expand", cert]), cert
+        assert fails_with_one_line(capsys, ["qp", "verify", cert, "1"]), cert
 
 
 def test_budget_exit_code(capsys):
@@ -179,3 +205,12 @@ def test_budget_exit_code(capsys):
     b = format_word(conjugate(u, parse_word(a, 4)))
     code = run(["conj", "-n", "4", a, b, "--budget", "0"])
     assert code == 2
+    # a negative budget is a usage error on every subcommand that takes one
+    for argv in [
+        ["conj", "-n", "3", "1", "1"],
+        ["root", "-n", "3", "-d", "2", "1"],
+        ["qp", "obstruct", "-n", "3", "1"],
+        ["qp", "root", "-n", "3", "-d", "2", "1"],
+    ]:
+        assert fails_with_one_line(capsys, argv + ["--budget", "-1"]), argv
+

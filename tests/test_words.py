@@ -51,6 +51,11 @@ def test_parse_negative_group_power():
 
 def test_parse_nested_groups():
     assert parse_word("((1)^2 2)^2", 3).signed_ints() == (1, 1, 2, 1, 1, 2)
+    # nesting depth is not limited by the Python stack
+    depth = 5000
+    assert parse_word("(" * depth + "1" + ")" * depth, 3) == word(3, [1])
+    with pytest.raises(WordSyntaxError, match="unclosed"):
+        parse_word("(" * depth + "1", 3)
 
 
 def test_parse_errors_carry_position():

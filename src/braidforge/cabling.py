@@ -172,8 +172,8 @@ def _check_widths(tubular: BraidWord, widths: tuple[int, ...]) -> None:
         raise ValueError(
             f"expected {tubular.strands} widths, got {len(widths)}"
         )
-    if any(width < 1 for width in widths):
-        raise ValueError("tube widths must be positive")
+    if not all(isinstance(width, int) and width >= 1 for width in widths):
+        raise ValueError("tube widths must be positive integers")
     for orbit in orbit_structure(tubular):
         if len({widths[a - 1] for a in orbit}) != 1:
             raise ValueError(f"widths not constant along orbit {orbit}")
@@ -409,13 +409,37 @@ def regular_form_to_json(rf: RegularForm) -> dict:
     }
 
 
-def regular_form_from_json(data: dict) -> RegularForm:
+def _tubular_from_json(data) -> tuple[BraidWord, tuple[int, ...]]:
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("tubular"), str)
+        and isinstance(data.get("widths"), list)
+    ):
+        raise ValueError('cabling input must be an object with a "tubular" word and a "widths" list')
     widths = tuple(data["widths"])
     tubular = parse_word(data["tubular"], len(widths))
+    _check_widths(tubular, widths)
+    return tubular, widths
+
+
+def regular_form_from_json(data: dict) -> RegularForm:
+    """Inverse of regular_form_to_json; raises ValueError on any other shape."""
+    tubular, widths = _tubular_from_json(data)
+    entries = data.get("interiors", [])
+    if not isinstance(entries, list):
+        raise ValueError('"interiors" must be a list')
     orbits = orbit_structure(tubular)
     interiors = [identity_word(widths[orbit[0] - 1]) for orbit in orbits]
-    for entry in data.get("interiors", ()):
+    for entry in entries:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("orbit"), int)
+            and isinstance(entry.get("word"), str)
+        ):
+            raise ValueError('each interior must be an object with an integer "orbit" and a "word"')
         i = entry["orbit"]
+        if not 0 <= i < len(orbits):
+            raise ValueError(f"orbit {i} out of range: the tubular braid has {len(orbits)} orbits")
         interiors[i] = parse_word(entry["word"], widths[orbits[i][0] - 1])
     return RegularForm(tubular, widths, tuple(interiors))
 
@@ -431,9 +455,15 @@ def assignment_to_json(tubular: BraidWord, assignment: TubePositionAssignment) -
 
 
 def assignment_from_json(data: dict) -> tuple[BraidWord, TubePositionAssignment]:
-    widths = tuple(data["widths"])
-    tubular = parse_word(data["tubular"], len(widths))
-    interiors = tuple(
-        parse_word(text, widths[j]) for j, text in enumerate(data["positions"])
-    )
+    """Inverse of assignment_to_json; raises ValueError on any other shape."""
+    tubular, widths = _tubular_from_json(data)
+    positions = data.get("positions")
+    if not (
+        isinstance(positions, list)
+        and len(positions) == len(widths)
+        and all(isinstance(text, str) for text in positions)
+    ):
+        raise ValueError('"positions" must be a list of one word per tube position')
+    interiors = tuple(parse_word(text, width) for text, width in zip(positions, widths))
     return tubular, TubePositionAssignment(widths, interiors)
+

@@ -391,10 +391,17 @@ def _run_cable(args, started: float) -> dict:
         )
     if args.cable_command == "cert":
         data = json.loads(args.input)
-        tubular_cert = qp.certificate_from_json(data["tubular_cert"])
-        interiors = [qp.certificate_from_json(c) for c in data["interiors"]]
-        widths = tuple(data["widths"])
-        cabled = cabling.cable_certificate(tubular_cert, interiors, widths)
+        if not (
+            isinstance(data, dict)
+            and isinstance(data.get("interiors"), list)
+            and isinstance(data.get("widths"), list)
+        ):
+            raise ValueError('cable input must be an object with "interiors" and "widths" lists')
+        cabled = cabling.cable_certificate(
+            qp.certificate_from_json(data.get("tubular_cert")),
+            [qp.certificate_from_json(c) for c in data["interiors"]],
+            tuple(data["widths"]),
+        )
         return _report(
             "cable cert",
             data,

@@ -240,17 +240,7 @@ def deck_matrix(n: int, k: int) -> np.ndarray:
     """The H_1 action of the deck transformation: one companion block of
     1 + t + ... + t^{k-1} per disk gap, of order exactly k."""
     cover_data(n, k)
-    d = (n - 1) * (k - 1)
-    D = [[0] * d for _ in range(d)]
-    for i in range(1, n):
-        for l in range(1, k):
-            col = _basis_index(i, l, k)
-            if l < k - 1:
-                D[_basis_index(i, l + 1, k)][col] = 1
-            else:
-                for l2 in range(1, k):
-                    D[_basis_index(i, l2, k)][col] = -1
-    return _int_matrix(D)
+    return np.kron(_identity(n - 1), _companion(k))
 
 
 def twist_class(i: int, l: int, n: int, k: int) -> np.ndarray:
@@ -389,33 +379,15 @@ def _burau_generator(n: int, index: int, sign: int) -> LaurentMatrix:
     """
     d = n - 1
     entries = [[{0: 1} if r == c else {} for c in range(d)] for r in range(d)]
-    i = index
-    if sign > 0:
-        if n == 2:
-            entries[0][0] = {1: -1}
-        elif i == 1:
-            entries[0][0] = {1: -1}
-            entries[0][1] = {0: 1}
-        elif i == n - 1:
-            entries[d - 1][d - 2] = {1: 1}
-            entries[d - 1][d - 1] = {1: -1}
-        else:
-            entries[i - 1][i - 2] = {1: 1}
-            entries[i - 1][i - 1] = {1: -1}
-            entries[i - 1][i] = {0: 1}
-    else:
-        if n == 2:
-            entries[0][0] = {-1: -1}
-        elif i == 1:
-            entries[0][0] = {-1: -1}
-            entries[0][1] = {-1: 1}
-        elif i == n - 1:
-            entries[d - 1][d - 2] = {0: 1}
-            entries[d - 1][d - 1] = {-1: -1}
-        else:
-            entries[i - 1][i - 2] = {0: 1}
-            entries[i - 1][i - 1] = {-1: -1}
-            entries[i - 1][i] = {-1: 1}
+    # row index-1 reads (t, -t, 1) for σ_i and (1, -t^{-1}, t^{-1}) for σ_i^{-1},
+    # centred on the diagonal and cut off at the edges of the matrix
+    left, centre, right = ({1: 1}, {1: -1}, {0: 1}) if sign > 0 else ({0: 1}, {-1: -1}, {-1: 1})
+    r = index - 1
+    entries[r][r] = centre
+    if r > 0:
+        entries[r][r - 1] = left
+    if r < d - 1:
+        entries[r][r + 1] = right
     return LaurentMatrix.from_entries(entries)
 
 

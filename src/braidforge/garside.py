@@ -9,11 +9,20 @@ left-weighted: every generator that can start x_{i+1} must finish x_i.  The
 normal form is computed by local pair rewriting and solves the word problem;
 inf = p and sup = p + ℓ are the usual Garside invariants.
 
+Internally an element is the raw pair (p, factors) of image tuples, and one
+kernel, `_normalize`, left-normalizes Δ^p times any list of permutation
+braids in a single sweep; the pair becomes a `NormalForm` only where a public
+function returns.
+
 Conjugacy is decided by reducing both elements into their super summit sets
 (iterated cycling and decycling) and closing one set under conjugation by
 permutation braids, which is complete by the convexity theorem for super
-summit sets.  The search carries an explicit node budget; exhausting it raises
-BudgetExceededError rather than guessing.
+summit sets.  Each move is one `_normalize` call: cycling is
+Δ^p x_2 ... x_ℓ τ^p(x_1), decycling Δ^p τ^p(x_ℓ) x_1 ... x_{ℓ-1}, and
+conjugation by a simple s is Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s, ∂s = s^{-1}Δ.
+A conjugator is a list of simple steps, and the witness is normalized once,
+then verified.  The search carries an explicit node budget; exhausting it
+raises BudgetExceededError rather than guessing.
 
 Desk scale only: these routines are written for n up to about 6 or 7 and
 canonical lengths in the tens.  Reducible-braid structure (see `cabling`) is
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -33,7 +42,7 @@ from .words import (
     Permutation,
     conjugate,
     exponent_sum,
-    invert_word,
+    identity_word,
     power,
     underlying_permutation,
     word,
@@ -120,69 +129,78 @@ def _t_strip_front(p: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_renorm_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _renorm(a: tuple[int, ...], b: tuple[int, ...]):
     """
     Rewrite the pair of permutation braids (a, b) into its left-weighted form
     by moving initial letters of b onto the end of a while possible.  The
     result is independent of the move order.
     """
-    key = (a, b)
-    cached = _renorm_cache.get(key)
-    if cached is not None:
-        return cached
-    a0, b0 = a, b
     a_inv = _t_inv(a)
     while True:
-        moved = False
         for i in _t_starting(b):
             if a_inv[i - 1] < a_inv[i]:  # i does not finish a: transfer is legal
                 a = _t_append(a, i)
                 a_inv = _t_strip_front(a_inv, i)
                 b = _t_strip_front(b, i)
-                moved = True
                 break
-        if not moved:
-            break
-    _renorm_cache[key] = (a, b)
-    _renorm_cache[(a0, b0)] = (a, b)
-    return a, b
+        else:
+            return a, b
 
 
-def _normalize_factor_list(n: int, factors: list[tuple[int, ...]]) -> tuple[int, list]:
+# the raw normal form (p, factors) of Δ^p x_1 ... x_ℓ, each x_i an image tuple
+RawNF = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+def _normalize(n: int, delta: int, factors: list[tuple[int, ...]]) -> RawNF:
     """
-    Left-normalize a sequence of permutation braids.  Returns (d, factors)
-    with the product equal to Δ^d times the left-weighted factors, no factor
-    trivial or Δ.
+    Left-normalize Δ^delta · f_1 ... f_m for permutation braids f_i, any of
+    which may be trivial or Δ.  One sweep suffices: after each rewrite it
+    steps back one pair, so every pair left of the cursor stays left-weighted,
+    and any Δ ends up at the front.
     """
     ident = _t_identity(n)
     w0 = _t_w0(n)
     factors = [f for f in factors if f != ident]
-    while True:
-        changed = False
-        i = 0
-        while i < len(factors) - 1:
-            a, b = factors[i], factors[i + 1]
-            a2, b2 = _renorm(a, b)
-            if a2 == a and b2 == b:
-                i += 1
-                continue
-            changed = True
-            factors[i] = a2
-            if b2 == ident:
-                del factors[i + 1]
-            else:
-                factors[i + 1] = b2
-            i = max(i - 1, 0)
-        if not changed:
-            break
+    i = 0
+    while i < len(factors) - 1:
+        a, b = factors[i], factors[i + 1]
+        a2, b2 = _renorm(a, b)
+        if a2 == a and b2 == b:
+            i += 1
+            continue
+        factors[i] = a2
+        if b2 == ident:
+            del factors[i + 1]
+        else:
+            factors[i + 1] = b2
+        i = max(i - 1, 0)
+    front = 0
+    while front < len(factors) and factors[front] == w0:
+        front += 1
+    return delta + front, tuple(factors[front:])
+
+
+# a step (s, ±1) is a permutation braid s or its inverse
+Step = tuple[tuple[int, ...], int]
+
+
+def _product(n: int, steps: list[Step]) -> RawNF:
+    """
+    The raw normal form of the product of the steps.  Each inverse is written
+    s^{-1} = Δ^{-1} · (Δ s^{-1}), a permutation braid; the Δ's are collected
+    at the front, each factor conjugated by the Δ-power that passes through
+    it from the right.
+    """
+    w0 = _t_w0(n)
+    factors = [s if sign > 0 else _t_then(w0, _t_inv(s)) for s, sign in steps]
     delta = 0
-    while factors and factors[0] == w0:
-        delta += 1
-        factors.pop(0)
-    return delta, factors
+    for j in range(len(steps) - 1, -1, -1):
+        if delta % 2:
+            factors[j] = _t_tau(factors[j])
+        if steps[j][1] < 0:
+            delta -= 1
+    return _normalize(n, delta, factors)
 
 
 # --- normal form -------------------------------------------------------------
@@ -224,33 +242,19 @@ class NormalForm:
         return f"NormalForm(n={self.strands}, delta={self.delta_power}, [{facs}])"
 
 
+def _wrap(n: int, raw: RawNF) -> NormalForm:
+    delta, factors = raw
+    return NormalForm(n, delta, tuple(Permutation(f) for f in factors))
+
+
+def _raw_normal_form(w: BraidWord) -> RawNF:
+    ident = _t_identity(w.strands)
+    return _product(w.strands, [(_t_append(ident, l.index), l.sign) for l in w.letters])
+
+
 def normal_form(w: BraidWord) -> NormalForm:
     """Compute the left normal form of a word; canonical for group equality."""
-    n = w.strands
-    if n == 1 or not w.letters:
-        return NormalForm(n, 0, ())
-    w0 = _t_w0(n)
-    ident = _t_identity(n)
-    factors: list[tuple[int, ...]] = []
-    shifts: list[int] = []
-    for letter in w.letters:
-        s = _t_append(ident, letter.index)
-        if letter.sign > 0:
-            factors.append(s)
-            shifts.append(0)
-        else:
-            # σ_i^{-1} = Δ^{-1} · (Δ σ_i^{-1}), a permutation braid
-            factors.append(_t_then(w0, s))
-            shifts.append(-1)
-    # Collect the Δ's at the front; each factor is conjugated by the Δ-power
-    # that passes through it from the right.
-    delta = 0
-    for j in range(len(factors) - 1, -1, -1):
-        if delta % 2:
-            factors[j] = _t_tau(factors[j])
-        delta += shifts[j]
-    extra, factors = _normalize_factor_list(n, factors)
-    return NormalForm(n, delta + extra, tuple(Permutation(f) for f in factors))
+    return _wrap(w.strands, _raw_normal_form(w))
 
 
 def _permutation_braid_word(n: int, p: tuple[int, ...]) -> list[int]:
@@ -296,11 +300,7 @@ def gamma_root_word(n: int) -> BraidWord:
 def nf_to_word(nf: NormalForm) -> BraidWord:
     """A word representing nf; normal_form(nf_to_word(nf)) == nf."""
     n = nf.strands
-    letters: list[int] = []
-    if nf.delta_power != 0:
-        delta = half_twist(n)
-        block = delta.signed_ints() if nf.delta_power > 0 else invert_word(delta).signed_ints()
-        letters.extend(block * abs(nf.delta_power))
+    letters = list(power(half_twist(n), nf.delta_power).signed_ints()) if nf.delta_power else []
     for factor in nf.factors:
         letters.extend(_permutation_braid_word(n, factor.images))
     return word(n, letters)
@@ -322,51 +322,29 @@ def nf_from_json(data: dict) -> NormalForm:
     )
 
 
-# --- normal-form group operations (used by the conjugacy search) -------------
+# --- normal-form group operations ---------------------------------------------
 
 
 def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:
     """Product of two elements given in normal form."""
     if x.strands != y.strands:
         raise ValueError("strand counts differ")
-    n = x.strands
     xf = [f.images for f in x.factors]
     if y.delta_power % 2:
         xf = [_t_tau(f) for f in xf]
-    extra, factors = _normalize_factor_list(n, xf + [f.images for f in y.factors])
-    return NormalForm(
-        n, x.delta_power + y.delta_power + extra, tuple(Permutation(f) for f in factors)
+    return _wrap(
+        x.strands,
+        _normalize(x.strands, x.delta_power + y.delta_power, xf + [f.images for f in y.factors]),
     )
 
 
 def nf_inv(x: NormalForm) -> NormalForm:
-    """Inverse of an element given in normal form."""
+    """Inverse of an element given in normal form: (Δ^p X)^{-1} = Δ^{-p} τ^p(X)^{-1}."""
     n = x.strands
-    w0 = _t_w0(n)
-    ell = len(x.factors)
-    factors = []
-    for j, factor in enumerate(reversed(x.factors)):
-        # x_i^{-1} = (right complement ∂x_i) Δ^{-1}; collecting the Δ's at the
-        # front twists each complement by the Δ-power to its right.
-        comp = _t_then(_t_inv(factor.images), w0)
-        m = (ell - j) + x.delta_power  # |Σ of collected negative powers|
-        factors.append(_t_tau(comp) if m % 2 else comp)
-    extra, factors = _normalize_factor_list(n, factors)
-    return NormalForm(
-        n, -(x.delta_power + ell) + extra, tuple(Permutation(f) for f in factors)
-    )
-
-
-def _nf_identity(n: int) -> NormalForm:
-    return NormalForm(n, 0, ())
-
-
-def _nf_of_perm(n: int, p: tuple[int, ...]) -> NormalForm:
-    if p == _t_identity(n):
-        return NormalForm(n, 0, ())
-    if p == _t_w0(n):
-        return NormalForm(n, 1, ())
-    return NormalForm(n, 0, (Permutation(p),))
+    odd = x.delta_power % 2
+    steps = [(_t_tau(f.images) if odd else f.images, -1) for f in reversed(x.factors)]
+    delta, factors = _product(n, steps)
+    return _wrap(n, (delta - x.delta_power, factors))
 
 
 # --- decisions ----------------------------------------------------------------
@@ -376,7 +354,7 @@ def is_equal(a: BraidWord, b: BraidWord) -> bool:
     """Whether two words represent the same element of B_n."""
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} vs {b.strands}")
-    return normal_form(a) == normal_form(b)
+    return _raw_normal_form(a) == _raw_normal_form(b)
 
 
 def inf_sup(w: BraidWord) -> tuple[int, int]:
@@ -412,11 +390,16 @@ class PeriodicRootKind(Enum):
 
 @dataclass(frozen=True, slots=True)
 class PeriodicRoot:
-    """A periodic conjugacy-class representative δ^power or γ^power in B_n."""
+    """
+    A periodic conjugacy-class representative c = δ^power or γ^power in B_n,
+    with the verified conjugator u: u · c^d · u^{-1} is the braid it is a
+    d-th root of.
+    """
 
     strands: int
     kind: PeriodicRootKind
     power: int
+    conjugator: BraidWord
 
     def to_word(self) -> BraidWord:
         base = (
@@ -432,8 +415,9 @@ def periodic_root(
 ) -> PeriodicRoot | None:
     """
     A d-th root of the periodic braid w, up to conjugacy: the representative
-    c = δ^i or γ^i with c^d conjugate to w, if one exists.  The exponent-sum
-    constraint Ab(c)·d = Ab(w) leaves at most two candidates to test.
+    c = δ^i or γ^i with c^d conjugate to w, if one exists, together with the
+    conjugator u that carries c^d onto w.  The exponent-sum constraint
+    Ab(c)·d = Ab(w) leaves at most two candidates to test.
     """
     if d < 1:
         raise ValueError(f"root degree must be >= 1, got {d}")
@@ -441,14 +425,16 @@ def periodic_root(
         raise ValueError("periodic_root requires a periodic braid")
     n = w.strands
     ab = exponent_sum(w)
-    candidates = []
     for kind, base_ab in ((PeriodicRootKind.DELTA, n - 1), (PeriodicRootKind.GAMMA, n)):
-        if ab % (d * base_ab) == 0:
-            candidates.append(PeriodicRoot(n, kind, ab // (d * base_ab)))
-    for root in candidates:
+        if ab % (d * base_ab):
+            continue
+        root = PeriodicRoot(n, kind, ab // (d * base_ab), identity_word(n))
         c_power = power(root.to_word(), d)
-        if is_equal(c_power, w) or is_conjugate(c_power, w, budget=budget).conjugate:
+        if is_equal(c_power, w):
             return root
+        res = is_conjugate(c_power, w, budget=budget)
+        if res.conjugate:
+            return replace(root, conjugator=res.witness)
     return None
 
 
@@ -468,78 +454,55 @@ class ConjugacyResult:
         return self.conjugate
 
 
-def _nf_conjugate_by_perm(x: NormalForm, s: tuple[int, ...]) -> NormalForm:
-    """s^{-1} x s for a permutation braid s."""
-    n = x.strands
-    s_nf = _nf_of_perm(n, s)
-    return nf_mul(nf_mul(nf_inv(s_nf), x), s_nf)
-
-
-def _cycle(x: NormalForm) -> tuple[NormalForm, NormalForm]:
-    """One cycling step; returns (result, conjugator u) with result = u^{-1} x u."""
-    n = x.strands
-    iota = x.factors[0].images
-    if x.delta_power % 2:
-        iota = _t_tau(iota)
-    factors = [f.images for f in x.factors[1:]] + [iota]
-    extra, factors = _normalize_factor_list(n, factors)
-    result = NormalForm(
-        n, x.delta_power + extra, tuple(Permutation(f) for f in factors)
-    )
-    return result, _nf_of_perm(n, iota)
-
-
-def _decycle(x: NormalForm) -> tuple[NormalForm, NormalForm]:
-    """One decycling step; returns (result, conjugator u) with result = u^{-1} x u."""
-    n = x.strands
-    s_nf = _nf_of_perm(n, x.factors[-1].images)
-    u = nf_inv(s_nf)
-    return nf_mul(nf_mul(s_nf, x), u), u
-
-
-def _reduce_to_summit(x: NormalForm) -> tuple[NormalForm, NormalForm]:
+def _reduce_to_summit(n: int, x: RawNF) -> tuple[RawNF, list[Step]]:
     """
     Drive x into its super summit set (maximal inf, then minimal sup) by
-    alternating cycling and decycling phases.  Returns (representative, g)
-    with representative = g^{-1} · x · g.
+    alternating cycling and decycling phases.  Returns (representative,
+    steps) with representative = g^{-1} · x · g for g the product of steps.
     """
-    g = _nf_identity(x.strands)
+    steps: list[Step] = []
     while True:
         improved = False
-        # cycling raises inf
+        # cycling raises inf: Δ^p x_2 ... x_ℓ τ^p(x_1), conjugating by τ^p(x_1)
         seen: set = set()
-        while x.factors:
+        while x[1]:
             if x in seen:
                 break
             seen.add(x)
-            prev_inf = x.inf
-            x, u = _cycle(x)
-            g = nf_mul(g, u)
-            if x.inf > prev_inf:
+            p, f = x
+            u = _t_tau(f[0]) if p % 2 else f[0]
+            steps.append((u, 1))
+            x = _normalize(n, p, [*f[1:], u])
+            if x[0] > p:
                 improved = True
                 seen.clear()
-        # decycling lowers sup
+        # decycling lowers sup: Δ^p τ^p(x_ℓ) x_1 ... x_{ℓ-1}, conjugating by x_ℓ^{-1}
         seen = set()
-        while x.factors:
+        while x[1]:
             if x in seen:
                 break
             seen.add(x)
-            prev_sup = x.sup
-            x, u = _decycle(x)
-            g = nf_mul(g, u)
-            if x.sup < prev_sup:
+            p, f = x
+            steps.append((f[-1], -1))
+            x = _normalize(n, p, [_t_tau(f[-1]) if p % 2 else f[-1], *f[:-1]])
+            if x[0] + len(x[1]) < p + len(f):
                 improved = True
                 seen.clear()
         if not improved:
-            return x, g
+            return x, steps
 
 
 @lru_cache(maxsize=None)
-def _nontrivial_perms(n: int) -> tuple[tuple[int, ...], ...]:
+def _simple_conjugators(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(s, ∂s, τ(∂s)) for every nontrivial permutation braid s, with ∂s = s^{-1}Δ."""
     ident = _t_identity(n)
-    return tuple(
-        p for p in itertools.permutations(range(1, n + 1)) if p != ident
-    )
+    w0 = _t_w0(n)
+    out = []
+    for s in itertools.permutations(range(1, n + 1)):
+        if s != ident:
+            comp = _t_then(_t_inv(s), w0)
+            out.append((s, comp, _t_tau(comp)))
+    return tuple(out)
 
 
 def is_conjugate(
@@ -562,37 +525,47 @@ def is_conjugate(
     if cycle_type_a != cycle_type_b:
         return ConjugacyResult(False, None, 0)
 
-    rep_a, g_a = _reduce_to_summit(normal_form(a))
-    rep_b, g_b = _reduce_to_summit(normal_form(b))
-    if (rep_a.inf, rep_a.sup) != (rep_b.inf, rep_b.sup):
+    rep_a, steps_a = _reduce_to_summit(n, _raw_normal_form(a))
+    rep_b, steps_b = _reduce_to_summit(n, _raw_normal_form(b))
+    inf0, sup0 = rep_a[0], rep_a[0] + len(rep_a[1])
+    if (inf0, sup0) != (rep_b[0], rep_b[0] + len(rep_b[1])):
         return ConjugacyResult(False, None, 0)
 
-    def witness_from(g_to_common: NormalForm) -> BraidWord:
-        w = nf_to_word(nf_mul(g_b, nf_inv(g_to_common)))
+    def witness_from(path: list[Step]) -> BraidWord:
+        # rep_b = g_b^{-1} b g_b and rep_b = g^{-1} a g for g = g_a · path,
+        # so w = g_b g^{-1}
+        to_common = steps_a + path
+        inverse = [(s, -sign) for s, sign in reversed(to_common)]
+        w = nf_to_word(_wrap(n, _product(n, steps_b + inverse)))
         if not is_equal(conjugate(w, a), b):
             raise AssertionError("internal error: conjugacy witness failed verification")
         return w
 
     if rep_a == rep_b:
-        return ConjugacyResult(True, witness_from(g_a), 0)
+        return ConjugacyResult(True, witness_from([]), 0)
 
-    inf0, sup0 = rep_a.inf, rep_a.sup
-    visited = {rep_a: g_a}
+    # breadth-first search of the summit set: each node keeps its parent and
+    # the simple s with node = s^{-1} · parent · s
+    parent: dict[RawNF, tuple[RawNF, tuple[int, ...]] | None] = {rep_a: None}
     queue = deque([rep_a])
     nodes = 0
     while queue:
         if nodes >= budget:
             raise BudgetExceededError(nodes)
         x = queue.popleft()
-        g_x = visited[x]
         nodes += 1
-        for s in _nontrivial_perms(n):
-            y = _nf_conjugate_by_perm(x, s)
-            if y.inf != inf0 or y.sup != sup0 or y in visited:
+        p, f = x
+        for s, comp, tau_comp in _simple_conjugators(n):
+            # s^{-1} x s = Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s
+            y = _normalize(n, p - 1, [comp if p % 2 else tau_comp, *f, s])
+            if y[0] != inf0 or y[0] + len(y[1]) != sup0 or y in parent:
                 continue
-            g_y = nf_mul(g_x, _nf_of_perm(n, s))
+            parent[y] = (x, s)
             if y == rep_b:
-                return ConjugacyResult(True, witness_from(g_y), nodes)
-            visited[y] = g_y
+                path = []
+                while parent[y] is not None:
+                    y, s = parent[y]
+                    path.append((s, 1))
+                return ConjugacyResult(True, witness_from(path[::-1]), nodes)
             queue.append(y)
     return ConjugacyResult(False, None, nodes)

@@ -212,12 +212,7 @@ def qp_root_periodic(
     root = periodic_root(b, d, budget=budget)
     if root is None or root.power < 0:
         return None
-    c = root.to_word()
-    cert = trivial_certificate(c)
-    if is_equal(power(c, d), b):
-        return cert
-    witness = is_conjugate(power(c, d), b, budget=budget).witness
-    cert = conjugate_certificate(cert, witness)
+    cert = conjugate_certificate(trivial_certificate(root.to_word()), root.conjugator)
     if not is_equal(power(expand(cert), d), b):
         raise AssertionError("internal error: root certificate failed verification")
     return cert

@@ -16,7 +16,9 @@ The text grammar for words is
     POW   := "^" SIGNED_INT
 
 where a nonzero integer i stands for σ_i and -i for σ_i^{-1}, and items are
-separated by whitespace.  Example: "(1 2)^6 1^-13".
+separated by whitespace.  Example: "(1 2)^6 1^-13".  Powers are expanded, and
+text that would expand to more than MAX_WORD_LETTERS letters is rejected
+before the letters are allocated.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+
+# The most letters parse_word expands a text to.
+MAX_WORD_LETTERS = 100_000
 
 
 class WordSyntaxError(ValueError):
@@ -279,7 +285,8 @@ def parse_word(text: str, n: int) -> BraidWord:
     """
     Parse word text per the module grammar into a braid word on n strands.
     Powers and parenthesized groups are expanded; raises WordSyntaxError with
-    a position for malformed text, ValueError for out-of-range indices.
+    a position for malformed text or an expansion past MAX_WORD_LETTERS
+    letters, ValueError for out-of-range indices.
     """
     tokens = _tokenize(text)
     idx = 0
@@ -300,6 +307,20 @@ def parse_word(text: str, n: int) -> BraidWord:
     # so nesting depth costs heap, not Python stack
     stack: list[tuple[list[int], int]] = []
     out: list[int] = []
+    letters = 0  # held in out and in every frame of the stack
+
+    def expand(items: list[int], pos: int) -> list[int]:
+        """items raised to the power that follows them, within the letter cap"""
+        nonlocal letters
+        exponent = parse_pow()
+        grown = letters + len(items) * (abs(exponent) - 1)
+        if grown > MAX_WORD_LETTERS:
+            raise WordSyntaxError(f"word expands to more than {MAX_WORD_LETTERS} letters", pos)
+        letters = grown
+        if exponent >= 0:
+            return items * exponent
+        return [-v for v in reversed(items)] * -exponent
+
     while idx < len(tokens):
         kind, value, pos = tokens[idx]
         idx += 1
@@ -310,7 +331,8 @@ def parse_word(text: str, n: int) -> BraidWord:
                 raise ValueError(
                     f"generator index {value} out of range [1, {n - 1}] at position {pos}"
                 )
-            out.extend(_apply_power([value], parse_pow()))
+            letters += 1
+            out.extend(expand([value], pos))
         elif kind == "(":
             stack.append((out, pos))
             out = []
@@ -318,19 +340,13 @@ def parse_word(text: str, n: int) -> BraidWord:
             if not stack:
                 raise WordSyntaxError("unmatched ')'", pos)
             group = out
-            out = stack.pop()[0]
-            out.extend(_apply_power(group, parse_pow()))
+            out, open_pos = stack.pop()
+            out.extend(expand(group, open_pos))
         else:
             raise WordSyntaxError("'^' must follow an item", pos)
     if stack:
         raise WordSyntaxError("unclosed '('", stack[-1][1])
     return word(n, out)
-
-
-def _apply_power(ints: list[int], exponent: int) -> list[int]:
-    if exponent >= 0:
-        return ints * exponent
-    return [-v for v in reversed(ints)] * (-exponent)
 
 
 def format_word(w: BraidWord) -> str:

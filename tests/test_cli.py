@@ -4,6 +4,10 @@ the thin-adapter property (CLI verdicts equal direct library results).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +197,35 @@ def test_parse_error_exit_code(capsys):
     ]:
         assert fails_with_one_line(capsys, ["qp", "expand", cert]), cert
         assert fails_with_one_line(capsys, ["qp", "verify", cert, "1"]), cert
+    # cabling JSON of the wrong shape, and orbits out of range
+    for sub in ["assemble", "normalize", "cert"]:
+        assert fails_with_one_line(capsys, ["cable", sub, "[1]"]), sub
+    for rf in [
+        '{"tubular": "1", "widths": [2, "x"]}',
+        '{"tubular": 1, "widths": [2, 2]}',
+        '{"tubular": "1", "widths": [2, 2], "interiors": {}}',
+        '{"tubular": "1", "widths": [2, 2], "interiors": [1]}',
+        '{"tubular": "1", "widths": [2, 2], "interiors": [{"orbit": 5, "word": "1"}]}',
+        '{"tubular": "1", "widths": [2, 2], "interiors": [{"orbit": -1, "word": "1"}]}',
+    ]:
+        assert fails_with_one_line(capsys, ["cable", "assemble", rf]), rf
+    for assignment in [
+        '{"tubular": "1", "widths": [2, "x"], "positions": ["1", "1"]}',
+        '{"tubular": "1", "widths": [2, 2], "positions": ["1", "1", "1"]}',
+        '{"tubular": "1", "widths": [2, 2], "positions": ["1", 1]}',
+    ]:
+        assert fails_with_one_line(capsys, ["cable", "normalize", assignment]), assignment
+    empty = '{"n": 2, "bands": []}'
+    for data in [
+        '{"widths": [2, 2]}',
+        '{"widths": [2, "x"], "interiors": [], "tubular_cert": %s}' % empty,
+        '{"widths": [2, 2], "interiors": {}, "tubular_cert": %s}' % empty,
+        '{"widths": [2, 2], "interiors": [1], "tubular_cert": %s}' % empty,
+        '{"widths": [2, 2], "interiors": [%s]}' % empty,
+    ]:
+        assert fails_with_one_line(capsys, ["cable", "cert", data]), data
+    # a word that expands past the letter cap
+    assert fails_with_one_line(capsys, ["abel", "-n", "3", "((1^1000 2)^1000)^3"])
 
 
 def test_budget_exit_code(capsys):
@@ -214,3 +247,17 @@ def test_budget_exit_code(capsys):
     ]:
         assert fails_with_one_line(capsys, argv + ["--budget", "-1"]), argv
 
+
+def test_verify_paper_under_python_O():
+    # no assert guards a verdict, so every check still runs and passes under -O
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "braidforge.cli", "verify-paper", "--seed", "1", "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["all_passed"]

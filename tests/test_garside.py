@@ -8,14 +8,20 @@ The independent oracles used here:
   * reduced Burau at a formal variable, faithful for n <= 3, as an equality
     cross-check;
   * rewrite invariance: random relation moves and free insertions preserve the
-    element by construction, so the normal form must not change.
+    element by construction, so the normal form must not change;
+  * hypothesis property tests (derandomized, so every run draws the same
+    examples): group operations against word operations, and conjugacy and
+    root witnesses against is_equal.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidforge import garside, quasipositive
 from braidforge.garside import (
     BudgetExceededError,
     PeriodicRootKind,
@@ -420,3 +426,76 @@ def test_budget_exhaustion_is_distinct():
     assert is_conjugate(a, b).conjugate
     with pytest.raises(BudgetExceededError):
         is_conjugate(a, b, budget=0)
+
+
+# --- property tests ---
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def signed_letters(n: int, max_size: int):
+    return st.lists(st.integers(1 - n, n - 1).filter(bool), max_size=max_size)
+
+
+@st.composite
+def word_pairs(draw, max_n: int, max_len: int):
+    n = draw(st.integers(2, max_n))
+    return word(n, draw(signed_letters(n, max_len))), word(n, draw(signed_letters(n, max_len)))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(word_pairs(max_n=6, max_len=14))
+def test_property_nf_ops_match_word_ops(pair):
+    a, b = pair
+    assert nf_mul(normal_form(a), normal_form(b)) == normal_form(concat(a, b))
+    assert nf_inv(normal_form(a)) == normal_form(invert_word(a))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(word_pairs(max_n=4, max_len=7))
+def test_property_conjugacy_witness_verifies(pair):
+    a, u = pair
+    b = conjugate(u, a)
+    res = is_conjugate(a, b)
+    assert res.conjugate
+    assert is_equal(conjugate(res.witness, a), b)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from(["delta", "gamma"]),
+            st.integers(1, 3),
+            st.sampled_from([-2, -1, 1, 2]),
+            signed_letters(n, 5),
+        )
+    )
+)
+def test_property_periodic_root_conjugator(case):
+    n, kind, d, j, u = case
+    base = delta_root_word(n) if kind == "delta" else gamma_root_word(n)
+    w = conjugate(word(n, u), power(base, d * j))
+    root = periodic_root(w, d)
+    assert root is not None
+    assert is_equal(conjugate(root.conjugator, power(root.to_word(), d)), w)
+
+
+def test_qp_root_periodic_runs_one_conjugacy_search(monkeypatch):
+    calls = []
+    search = garside.is_conjugate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(garside, "is_conjugate", counted)
+    monkeypatch.setattr(quasipositive, "is_conjugate", counted)
+    dd = power(delta_root_word(4), 2)
+    b = conjugate(word(4, [2, -3, 1]), dd)
+    assert not is_equal(b, dd)
+    cert = quasipositive.qp_root_periodic(b, 2)
+    assert cert is not None
+    assert is_equal(power(quasipositive.expand(cert), 2), b)
+    assert len(calls) == 1

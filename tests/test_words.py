@@ -5,6 +5,7 @@ import random
 import pytest
 
 from braidforge.words import (
+    MAX_WORD_LETTERS,
     ArtinLetter,
     BraidWord,
     Permutation,
@@ -56,6 +57,22 @@ def test_parse_nested_groups():
     assert parse_word("(" * depth + "1" + ")" * depth, 3) == word(3, [1])
     with pytest.raises(WordSyntaxError, match="unclosed"):
         parse_word("(" * depth + "1", 3)
+
+
+def test_parse_letter_cap():
+    cap = MAX_WORD_LETTERS
+    assert len(parse_word(f"1^{cap}", 2)) == cap
+    assert len(parse_word(f"(1 -1)^{cap // 2 - 1} 1^-2", 2)) == cap
+    for text in [
+        f"1^{cap + 1}",
+        f"1^-{cap} 1",
+        f"(1 -1)^{cap // 2} 1",
+        f"((1 -1)^{cap // 4} 1)^2",
+        f"1^{cap} (1)^0",  # the cap counts letters held before a power applies
+        "((1^1000 2)^1000)^3",
+    ]:
+        with pytest.raises(WordSyntaxError, match="more than"):
+            parse_word(text, 3)
 
 
 def test_parse_errors_carry_position():

@@ -92,8 +92,6 @@ from .cover import (
     lift_word,
     parse_twist_word,
     symmetry_check,
-    transvection,
-    twist_class,
 )
 from .checks import CheckResult, run_suite
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .garside import is_equal
 from .quasipositive import Band, QPCertificate, QPStatus, expand, obstruct, verify
 from .words import (
+    MAX_WORD_LETTERS,
     BraidWord,
     Permutation,
     concat,
@@ -67,17 +68,24 @@ def block_transposition(p: int, q: int, sign: int = 1) -> BraidWord:
     The crossing of a width-p block over a width-q block in B_{p+q}: the
     positive word ∏_{r=p..1}(σ_r σ_{r+1} ... σ_{r+q-1}) of exactly p·q
     letters, sending [1..p] to [q+1..q+p] and [p+1..p+q] to [1..q]; its
-    formal inverse for sign -1.
+    formal inverse for sign -1.  Raises ValueError, before building anything,
+    when p·q exceeds MAX_WORD_LETTERS.
     """
     if p < 1 or q < 1:
         raise ValueError(f"block widths must be >= 1, got ({p}, {q})")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    _check_letter_count(p * q)
     letters = []
     for r in range(p, 0, -1):
         letters.extend(range(r, r + q))
     w = word(p + q, letters)
     return w if sign == 1 else invert_word(w)
+
+
+def _check_letter_count(count: int) -> None:
+    if count > MAX_WORD_LETTERS:
+        raise ValueError(f"cabled word would have {count} letters, more than {MAX_WORD_LETTERS}")
 
 
 def _embed(w: BraidWord, n: int, offset: int) -> BraidWord:
@@ -96,11 +104,21 @@ def _cable_word(
     """
     Cable a tubular word starting from the given width arrangement: each
     crossing becomes a block transposition of the widths currently at its two
-    positions.  Returns the cabled word and the final arrangement.
+    positions.  Returns the cabled word and the final arrangement; raises
+    ValueError, before building anything, when the word would have more than
+    MAX_WORD_LETTERS letters.
     """
     if len(arrangement) != w.strands:
         raise ValueError("arrangement length must match tubular strand count")
     n = sum(arrangement)
+    # a crossing swaps its two widths and costs their product in letters
+    arr = list(arrangement)
+    count = 0
+    for letter in w.letters:
+        j = letter.index
+        count += arr[j - 1] * arr[j]
+        arr[j - 1], arr[j] = arr[j], arr[j - 1]
+    _check_letter_count(count)
     arr = list(arrangement)
     letters: list[int] = []
     for letter in w.letters:
@@ -289,6 +307,10 @@ def _cabled_band_bands(
     inner = _cabled_band_bands(arr_after, tail, j)
     if inner is None:
         return None
+    # every inner band's conjugator gains a copy of the cabled head
+    _check_letter_count(
+        len(inner) * len(cabled_head) + sum(len(band.conjugator) for band in inner)
+    )
     bands = [
         Band(concat(cabled_head, band.conjugator), band.gen_index) for band in inner
     ]

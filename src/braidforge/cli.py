@@ -173,10 +173,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _matrix_rows(mat) -> list[list[int]]:
-    return [[int(v) for v in row] for row in mat]
-
-
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

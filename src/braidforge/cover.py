@@ -7,7 +7,11 @@ joined by k bands between each adjacent pair.  H_1 has rank (n-1)(k-1), with
 basis the classes of the curves running through bands l and l+1 between disks
 i and i+1 (1 <= i <= n-1, 1 <= l <= k-1).  A braid generator lifts to the
 chain of twists t_{i,1} ... t_{i,k-1}, and a Dehn twist acts on H_1 by the
-transvection x ↦ x + <x, c>·c in the intersection pairing.
+transvection x ↦ x + <x, c>·c in the intersection pairing.  Both
+representations are computed letter by letter as sparse column updates of
+the running product: a twist touches the at most six columns of basis curves
+that meet its curve, and a Burau generator the three columns around its
+index.
 
 Two basis curves can pair only when adjacent in the band grid, and the deck
 orbit relation forces the same-column and diagonal pairings between adjacent
@@ -48,9 +52,7 @@ __all__ = [
     "parse_twist_word",
     "format_twist_word",
     "intersection_form",
-    "twist_class",
     "deck_matrix",
-    "transvection",
     "homology_rep",
     "symmetry_check",
     "check_identity",
@@ -198,7 +200,7 @@ def _identity(d: int) -> np.ndarray:
     return _int_matrix([[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
 
-# --- intersection form, deck action, transvections ------------------------------
+# --- intersection form, deck action, homology ------------------------------------
 
 
 def _basis_index(i: int, l: int, k: int) -> int:
@@ -243,42 +245,21 @@ def deck_matrix(n: int, k: int) -> np.ndarray:
     return np.kron(_identity(n - 1), _companion(k))
 
 
-def twist_class(i: int, l: int, n: int, k: int) -> np.ndarray:
-    """The H_1 class of the curve through disks i, i+1 and bands l, l+1:
-    a basis vector for l <= k-1; for l = k the relation class
-    -(e_{i,1} + ... + e_{i,k-1}), since the k classes of one row are a single
-    deck orbit summing to zero."""
-    cover_data(n, k)
-    if not 1 <= i <= n - 1 or not 1 <= l <= k:
-        raise ValueError(f"twist curve ({i}, {l}) out of range for ({n}, {k})")
-    d = (n - 1) * (k - 1)
-    vec = [0] * d
-    if l <= k - 1:
-        vec[_basis_index(i, l, k)] = 1
-    else:
-        for l2 in range(1, k):
-            vec[_basis_index(i, l2, k)] = -1
-    return np.array([int(v) for v in vec], dtype=object)
-
-
-def transvection(c: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """The H_1 action of a twist about a curve of class c: the transvection
-    x ↦ x + <x, c>·c, as the matrix I + c·(Jc)^T acting on columns."""
-    d = len(c)
-    return _identity(d) + np.outer(c, J @ c)
-
-
 def homology_rep(w: TwistWord) -> np.ndarray:
-    """The integer H_1 matrix of a twist word: the product of transvections
-    in word order (matrices act on column vectors; the map is a homomorphism
-    into matrices multiplied left-to-right)."""
+    """
+    The integer H_1 matrix of a twist word: the product of the letters'
+    transvections in word order (matrices act on column vectors; the map is a
+    homomorphism into matrices multiplied left-to-right).  The twist about
+    basis curve e right-multiplies by I ± e·(Je)^T, which adds ±J[j, e] times
+    column e to each of the at most six columns j with J[j, e] != 0; column e
+    itself never changes, since J[e, e] = 0.
+    """
     J = intersection_form(w.n, w.k)
-    d = (w.n - 1) * (w.k - 1)
-    out = _identity(d)
+    out = _identity((w.n - 1) * (w.k - 1))
     for letter in w.letters:
-        c = twist_class(letter.i, letter.l, w.n, w.k)
-        # right-multiplying by I ± c·(Jc)^T is a rank-one update
-        out = out + letter.sign * np.outer(out @ c, J @ c)
+        e = _basis_index(letter.i, letter.l, w.k)
+        for j in np.flatnonzero(J[:, e]):
+            out[:, j] += letter.sign * J[j, e] * out[:, e]
     return out
 
 
@@ -314,32 +295,8 @@ class LaurentMatrix:
     def identity(size: int) -> LaurentMatrix:
         return LaurentMatrix(size, {0: _identity(size)})
 
-    @staticmethod
-    def from_entries(entries) -> LaurentMatrix:
-        """Build from a nested list whose entries are dicts exponent -> int."""
-        size = len(entries)
-        coeffs: dict[int, list] = {}
-        for r, row in enumerate(entries):
-            for c, poly in enumerate(row):
-                for e, v in poly.items():
-                    if v:
-                        coeffs.setdefault(e, [[0] * size for _ in range(size)])
-                        coeffs[e][r][c] = v
-        return LaurentMatrix(size, {e: _int_matrix(m) for e, m in coeffs.items()})
-
     def _trimmed(self) -> dict[int, np.ndarray]:
         return {e: m for e, m in self.coeffs.items() if np.any(m != 0)}
-
-    def __matmul__(self, other: LaurentMatrix) -> LaurentMatrix:
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        acc: dict[int, np.ndarray] = {}
-        for e1, m1 in self._trimmed().items():
-            for e2, m2 in other._trimmed().items():
-                e = e1 + e2
-                prod = m1 @ m2
-                acc[e] = acc[e] + prod if e in acc else prod
-        return LaurentMatrix(self.size, {e: m for e, m in acc.items() if np.any(m != 0)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix) or self.size != other.size:
@@ -368,38 +325,42 @@ class LaurentMatrix:
         return acc
 
 
-@lru_cache(maxsize=None)
-def _burau_generator(n: int, index: int, sign: int) -> LaurentMatrix:
-    """
-    Reduced Burau image of σ_index^{±1} in B_n: the (n-1)×(n-1) Laurent
-    matrix differing from the identity only in row `index`, with σ_1 ↦ [-t]
-    for n = 2.  Of the two transpose conventions in circulation this is the
-    one whose specialization at the companion matrix consists of homology
-    transvections.
-    """
-    d = n - 1
-    entries = [[{0: 1} if r == c else {} for c in range(d)] for r in range(d)]
-    # row index-1 reads (t, -t, 1) for σ_i and (1, -t^{-1}, t^{-1}) for σ_i^{-1},
-    # centred on the diagonal and cut off at the edges of the matrix
-    left, centre, right = ({1: 1}, {1: -1}, {0: 1}) if sign > 0 else ({0: 1}, {-1: -1}, {-1: 1})
-    r = index - 1
-    entries[r][r] = centre
-    if r > 0:
-        entries[r][r - 1] = left
-    if r < d - 1:
-        entries[r][r + 1] = right
-    return LaurentMatrix.from_entries(entries)
+# the entries of row i of the Burau image of σ_i^{±1}, by sign, as
+# (column offset from i, exponent of t, coefficient)
+_BURAU_ROW = {
+    1: ((-1, 1, 1), (0, 1, -1), (1, 0, 1)),
+    -1: ((-1, 0, 1), (0, -1, -1), (1, -1, 1)),
+}
 
 
 def burau_reduced(b: BraidWord) -> LaurentMatrix:
-    """The reduced Burau matrix of a braid word, letters multiplied in word
-    order."""
+    """
+    The reduced Burau matrix of a braid word, letters multiplied in word
+    order.  The image of σ_i^{±1} differs from the identity only in row i,
+    which reads (t, -t, 1) for σ_i and (1, -t^{-1}, t^{-1}) for σ_i^{-1},
+    centred on the diagonal and cut off at the edges (σ_1 ↦ [-t] for n = 2).
+    Of the two transpose conventions in circulation this is the one whose
+    specialization at the companion matrix consists of homology
+    transvections.  Right-multiplying by it replaces column i by -t^{±1}
+    times itself and adds monomial multiples of the old column i to columns
+    i-1 and i+1; the other columns do not change.
+    """
     if b.strands < 2:
         raise ValueError("reduced Burau needs n >= 2")
-    out = LaurentMatrix.identity(b.strands - 1)
+    d = b.strands - 1
+    coeffs = LaurentMatrix.identity(d).coeffs
     for letter in b.letters:
-        out = out @ _burau_generator(b.strands, letter.index, letter.sign)
-    return out
+        r = letter.index - 1
+        column = {e: m[:, r].copy() for e, m in coeffs.items() if m[:, r].any()}
+        for e in column:
+            coeffs[e][:, r] = 0
+        for offset, shift, v in _BURAU_ROW[letter.sign]:
+            if 0 <= r + offset < d:
+                for e, col in column.items():
+                    if e + shift not in coeffs:
+                        coeffs[e + shift] = np.zeros((d, d), dtype=object)
+                    coeffs[e + shift][:, r + offset] += v * col
+    return LaurentMatrix(d, {e: m for e, m in coeffs.items() if np.any(m != 0)})
 
 
 @lru_cache(maxsize=None)

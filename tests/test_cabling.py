@@ -83,6 +83,10 @@ def test_block_transposition_examples():
     assert is_equal(block_transposition(2, 2, 1), parse_word("2 1 3 2", 4))
     with pytest.raises(ValueError):
         block_transposition(0, 1)
+    # p·q letters past the word letter cap are refused before they are built
+    assert len(block_transposition(300, 300)) == 90_000
+    with pytest.raises(ValueError, match="more than"):
+        block_transposition(400, 300)
 
 
 def test_block_transposition_permutation_oracle():

@@ -226,6 +226,23 @@ def test_parse_error_exit_code(capsys):
         assert fails_with_one_line(capsys, ["cable", "cert", data]), data
     # a word that expands past the letter cap
     assert fails_with_one_line(capsys, ["abel", "-n", "3", "((1^1000 2)^1000)^3"])
+    # cabled words past the letter cap: one 600 x 600 crossing, or five of 200 x 200
+    for tubular, w in [("1", 600), ("1 1 1 1 1", 200)]:
+        rf = {"tubular": tubular, "widths": [w, w]}
+        assert fails_with_one_line(capsys, ["cable", "assemble", json.dumps(rf)]), rf
+        assignment = json.dumps({**rf, "positions": ["", ""]})
+        assert fails_with_one_line(capsys, ["cable", "normalize", assignment]), rf
+    # one 600 x 600 crossing, a conjugator cabled to 360 000 letters, and 1600
+    # bands each conjugated by a 1600-letter cable
+    for n, conj, w in [(2, "", 600), (3, "2", 600), (3, "2", 40)]:
+        data = {
+            "widths": [w] * n,
+            "interiors": [{"n": w, "bands": []}] * (n - 1),
+            "tubular_cert": {"n": n, "bands": [{"conj": conj, "gen": 1}]},
+        }
+        assert fails_with_one_line(capsys, ["cable", "cert", json.dumps(data)]), data
+    # a single 300 x 300 crossing is 90 000 letters, under the cap
+    assert run(["cable", "assemble", '{"tubular": "1", "widths": [300, 300]}']) == 0
 
 
 def test_budget_exit_code(capsys):

@@ -29,8 +29,6 @@ from braidforge.cover import (
     matrix_to_json,
     parse_twist_word,
     symmetry_check,
-    transvection,
-    twist_class,
 )
 from braidforge.words import concat, exponent_sum, invert_word, parse_word, power, word
 
@@ -105,7 +103,7 @@ def test_twist_word_grammar():
         parse_twist_word("x[1,1]", 3, 3)
 
 
-# --- intersection form, deck, transvections ---
+# --- intersection form, deck, homology ---
 
 
 def test_intersection_form_examples():
@@ -147,41 +145,64 @@ def test_deck_matrix_examples():
             assert np.array_equal(D.T @ J @ D, J)
 
 
+def basis_vector(i, l, n, k):
+    """The H_1 class of the curve through disks i, i+1 and bands l, l+1 for
+    l <= k-1; for l = k the relation class -(e_{i,1} + ... + e_{i,k-1})."""
+    vec = np.zeros((n - 1) * (k - 1), dtype=object)
+    if l <= k - 1:
+        vec[(i - 1) * (k - 1) + (l - 1)] = 1
+    else:
+        vec[(i - 1) * (k - 1) : i * (k - 1)] = -1
+    return vec
+
+
 def test_twist_class():
-    v = twist_class(1, 1, 3, 3)
-    assert list(v) == [1, 0, 0, 0]
-    v = twist_class(1, 3, 3, 3)
-    assert list(v) == [-1, -1, 0, 0]
-    # the full row orbit sums to zero through the deck action
-    D = deck_matrix(3, 3)
-    total = twist_class(1, 1, 3, 3) * 0
-    vec = twist_class(1, 1, 3, 3)
-    for _ in range(3):
-        total = total + vec
-        vec = D @ vec
-    assert all(int(x) == 0 for x in total)
-    with pytest.raises(ValueError):
-        twist_class(2, 1, 2, 2)
+    # the k curves of one row form a single deck orbit, e_{i,l} -> e_{i,l+1}
+    # with the k-th curve the relation class, so the orbit sums to zero
+    for n, k in [(3, 3), (2, 5), (4, 4)]:
+        D = deck_matrix(n, k)
+        for i in range(1, n):
+            orbit = [basis_vector(i, l, n, k) for l in range(1, k + 1)]
+            for l in range(k):
+                assert np.array_equal(D @ orbit[l], orbit[(l + 1) % k])
+            assert not any(sum(orbit))
 
 
 def test_transvection_properties():
-    rng = random.Random(7)
-    for n, k in [(3, 2), (3, 3), (4, 3)]:
+    # each letter acts by a transvection: it preserves J, M - I squares to
+    # zero and has rank <= 1, and the opposite-sign letter inverts it
+    for n, k in [(2, 2), (3, 2), (3, 3), (4, 3), (3, 5)]:
+        J = intersection_form(n, k)
+        I = np.eye((n - 1) * (k - 1), dtype=object)
+        for i in range(1, n):
+            for l in range(1, k):
+                M = homology_rep(TwistWord(n, k, (TwistLetter(i, l, 1),)))
+                M_inv = homology_rep(TwistWord(n, k, (TwistLetter(i, l, -1),)))
+                diff = M - I
+                assert np.array_equal(M.T @ J @ M, J)
+                assert not np.any(diff @ diff)
+                assert to_sympy(diff).rank() <= 1
+                assert np.array_equal(M @ M_inv, I)
+    # the only curve at (2, 2) pairs with nothing, so its twist acts trivially
+    assert np.array_equal(homology_rep(TwistWord(2, 2, (TwistLetter(1, 1, 1),))), np.eye(1, dtype=object))
+
+
+def test_homology_rep_matches_dense_transvections():
+    # oracle: the dense product of I + s·c·(Jc)^T over the letters
+    rng = random.Random(31)
+    for n, k in [(2, 3), (3, 3), (4, 5), (5, 4), (7, 11), (11, 7)]:
         J = intersection_form(n, k)
         d = (n - 1) * (k - 1)
-        for _ in range(20):
-            c = np.array([rng.randint(-2, 2) for _ in range(d)], dtype=object)
-            M = transvection(c, J)
-            diff = M - np.eye(d, dtype=object)
-            assert np.array_equal(diff @ diff, np.zeros((d, d), dtype=object))
-            assert np.array_equal(M.T @ J @ M, J)
-            assert to_sympy(diff).rank() <= 1
-            M_inv = transvection(c, -J)
-            assert np.array_equal(M @ M_inv, np.eye(d, dtype=object))
-    # radical classes act trivially: boundary-type vector at (2,2)
-    J22 = intersection_form(2, 2)
-    M = transvection(np.array([1], dtype=object), J22)
-    assert int(M[0, 0]) == 1
+        for _ in range(4):
+            w = TwistWord(n, k, tuple(
+                TwistLetter(rng.randint(1, n - 1), rng.randint(1, k - 1), rng.choice([1, -1]))
+                for _ in range(rng.randint(0, 20))
+            ))
+            expected = np.eye(d, dtype=object)
+            for letter in w.letters:
+                c = basis_vector(letter.i, letter.l, n, k)
+                expected = expected @ (np.eye(d, dtype=object) + letter.sign * np.outer(c, J @ c))
+            assert np.array_equal(homology_rep(w), expected)
 
 
 def test_homology_rep_basics():
@@ -255,6 +276,29 @@ def test_burau_b2():
     m = burau_reduced(word(2, [1]))
     assert m.entry(0, 0) == {1: -1}
     assert burau_reduced(word(2, [])).entry(0, 0) == {0: 1}
+
+
+def burau_generator_sympy(n, i, sign):
+    """The documented image of σ_i^{±1}: the identity but for row i, which
+    reads (t, -t, 1) for σ_i and (1, -1/t, 1/t) for σ_i^{-1}, centred on the
+    diagonal and cut off at the edges."""
+    m = sympy.eye(n - 1)
+    row = (T, -T, 1) if sign > 0 else (1, -1 / T, 1 / T)
+    for offset, value in zip((-1, 0, 1), row):
+        if 0 <= i - 1 + offset < n - 1:
+            m[i - 1, i - 1 + offset] = value
+    return m
+
+
+def test_burau_matches_generator_product():
+    rng = random.Random(37)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        w = random_word(rng, n, rng.randint(0, 12))
+        expected = sympy.eye(n - 1)
+        for letter in w.letters:
+            expected = expected * burau_generator_sympy(n, letter.index, letter.sign)
+        assert (burau_sympy(w) - expected).expand() == sympy.zeros(n - 1)
 
 
 def test_burau_satisfies_relations():

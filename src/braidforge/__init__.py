@@ -42,7 +42,6 @@ from .garside import (
     is_equal,
     is_periodic,
     is_positive_braid,
-    nf_from_json,
     nf_to_json,
     nf_to_word,
     normal_form,

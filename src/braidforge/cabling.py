@@ -48,7 +48,6 @@ __all__ = [
     "cable_certificate",
     "regular_form_to_json",
     "regular_form_from_json",
-    "assignment_to_json",
     "assignment_from_json",
 ]
 
@@ -466,18 +465,9 @@ def regular_form_from_json(data: dict) -> RegularForm:
     return RegularForm(tubular, widths, tuple(interiors))
 
 
-def assignment_to_json(tubular: BraidWord, assignment: TubePositionAssignment) -> dict:
-    from .words import format_word
-
-    return {
-        "tubular": format_word(tubular),
-        "widths": list(assignment.widths),
-        "positions": [format_word(w) for w in assignment.interiors],
-    }
-
-
 def assignment_from_json(data: dict) -> tuple[BraidWord, TubePositionAssignment]:
-    """Inverse of assignment_to_json; raises ValueError on any other shape."""
+    """Read {"tubular": word, "widths": [...], "positions": [word per tube]}, the
+    input of `cable normalize`; raises ValueError on any other shape."""
     tubular, widths = _tubular_from_json(data)
     positions = data.get("positions")
     if not (

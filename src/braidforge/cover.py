@@ -60,7 +60,6 @@ __all__ = [
     "burau_at_companion",
     "base_change",
     "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -426,10 +425,3 @@ def matrix_to_json(mat: np.ndarray, n: int, k: int) -> dict:
         "dim": int(mat.shape[0]),
         "rows": [[int(v) for v in row] for row in mat],
     }
-
-
-def matrix_from_json(data: dict) -> np.ndarray:
-    mat = _int_matrix(data["rows"])
-    if mat.shape[0] != data["dim"]:
-        raise ValueError("matrix dimension mismatch")
-    return mat

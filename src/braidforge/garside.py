@@ -24,9 +24,11 @@ A conjugator is a list of simple steps, and the witness is normalized once,
 then verified.  The search carries an explicit node budget; exhausting it
 raises BudgetExceededError rather than guessing.
 
-Desk scale only: these routines are written for n up to about 6 or 7 and
-canonical lengths in the tens.  Reducible-braid structure (see `cabling`) is
-always caller-supplied, never detected here.
+Normal forms are not confined to desk scale: left-weighting a pair costs
+O(n) plus O(1) per letter it moves (see `_renorm`).  The conjugacy search is:
+it is written for n up to about 6 or 7 and canonical lengths in the tens,
+since each node tries all n! - 1 simple conjugators.  Reducible-braid
+structure (see `cabling`) is always caller-supplied, never detected here.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ __all__ = [
     "nf_mul",
     "nf_inv",
     "nf_to_json",
-    "nf_from_json",
     "is_equal",
     "inf_sup",
     "is_positive_braid",
@@ -112,40 +113,55 @@ def _t_tau(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(n + 1 - p[n - i] for i in range(1, n + 1))
 
 
-def _t_starting(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Generators that can start the permutation braid of p."""
-    return tuple(i for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
 def _t_append(p: tuple[int, ...], i: int) -> tuple[int, ...]:
     """p followed by the transposition (i, i+1): swap the values i, i+1."""
     return tuple(i + 1 if v == i else (i if v == i + 1 else v) for v in p)
 
 
-def _t_strip_front(p: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """q with p = (i, i+1)·q: swap the entries at positions i, i+1."""
-    out = list(p)
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
+# The most pairs the _renorm cache keeps: twice the 26 000-28 000 pairs that
+# the benchmark's conj-qp workload reuses round after round.  A cache smaller
+# than a reused working set evicts each pair before its next use.
+_RENORM_CACHE_SIZE = 1 << 16
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RENORM_CACHE_SIZE)
 def _renorm(a: tuple[int, ...], b: tuple[int, ...]):
     """
     Rewrite the pair of permutation braids (a, b) into its left-weighted form
     by moving initial letters of b onto the end of a while possible.  The
-    result is independent of the move order.
+    result is independent of the move order, and the input tuples themselves
+    come back when nothing moves.
+
+    A move of σ_i swaps two entries of b and of a^{-1}, and changes only the
+    descents of b and the ascents of a^{-1} at i-1, i and i+1; after it i is
+    an ascent of b until a neighbour moves.  So a stack of candidate indices
+    drives the moves, each costs O(1), and a pair costs O(n) plus O(1) per
+    transferred letter.  Results are cached, at most _RENORM_CACHE_SIZE of
+    them (least recently used first out).
     """
-    a_inv = _t_inv(a)
-    while True:
-        for i in _t_starting(b):
-            if a_inv[i - 1] < a_inv[i]:  # i does not finish a: transfer is legal
-                a = _t_append(a, i)
-                a_inv = _t_strip_front(a_inv, i)
-                b = _t_strip_front(b, i)
-                break
-        else:
-            return a, b
+    n = len(a)
+    # a^{-1} and b, 1-based; b is padded so that indices 0 and n never move
+    a_inv = [0] * (n + 1)
+    for pos, v in enumerate(a, 1):
+        a_inv[v] = pos
+    bl = [0, *b, n + 1]
+    stack = list(range(1, n))
+    moved = False
+    while stack:
+        i = stack.pop()
+        # i starts b and does not finish a: the transfer is legal
+        if bl[i] > bl[i + 1] and a_inv[i] < a_inv[i + 1]:
+            bl[i], bl[i + 1] = bl[i + 1], bl[i]
+            a_inv[i], a_inv[i + 1] = a_inv[i + 1], a_inv[i]
+            stack.append(i - 1)
+            stack.append(i + 1)
+            moved = True
+    if not moved:
+        return a, b
+    a_out = [0] * n
+    for v in range(1, n + 1):
+        a_out[a_inv[v] - 1] = v
+    return tuple(a_out), tuple(bl[1:-1])
 
 
 # the raw normal form (p, factors) of Δ^p x_1 ... x_ℓ, each x_i an image tuple
@@ -257,16 +273,24 @@ def normal_form(w: BraidWord) -> NormalForm:
     return _wrap(w.strands, _raw_normal_form(w))
 
 
-def _permutation_braid_word(n: int, p: tuple[int, ...]) -> list[int]:
-    """A reduced positive word for the permutation braid of p."""
+def _permutation_braid_word(p: tuple[int, ...]) -> list[int]:
+    """
+    A reduced positive word for the permutation braid of p: each letter is the
+    smallest generator that starts what is left.  Stripping σ_i swaps the
+    entries at i, i+1 and changes the descents at i-1, i and i+1 only, so the
+    scan steps back one place after each letter.
+    """
+    p = list(p)
     out = []
-    while True:
-        starting = _t_starting(p)
-        if not starting:
-            return out
-        i = starting[0]
-        out.append(i)
-        p = _t_strip_front(p, i)
+    i = 1
+    while i < len(p):
+        if p[i - 1] > p[i]:
+            out.append(i)
+            p[i - 1], p[i] = p[i], p[i - 1]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +326,7 @@ def nf_to_word(nf: NormalForm) -> BraidWord:
     n = nf.strands
     letters = list(power(half_twist(n), nf.delta_power).signed_ints()) if nf.delta_power else []
     for factor in nf.factors:
-        letters.extend(_permutation_braid_word(n, factor.images))
+        letters.extend(_permutation_braid_word(factor.images))
     return word(n, letters)
 
 
@@ -312,14 +336,6 @@ def nf_to_json(nf: NormalForm) -> dict:
         "delta": nf.delta_power,
         "factors": [list(f.images) for f in nf.factors],
     }
-
-
-def nf_from_json(data: dict) -> NormalForm:
-    return NormalForm(
-        data["n"],
-        data["delta"],
-        tuple(Permutation(tuple(images)) for images in data["factors"]),
-    )
 
 
 # --- normal-form group operations ---------------------------------------------

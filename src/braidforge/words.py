@@ -18,7 +18,8 @@ The text grammar for words is
 where a nonzero integer i stands for σ_i and -i for σ_i^{-1}, and items are
 separated by whitespace.  Example: "(1 2)^6 1^-13".  Powers are expanded, and
 text that would expand to more than MAX_WORD_LETTERS letters is rejected
-before the letters are allocated.
+before the letters are allocated.  A word has at most MAX_STRANDS strands,
+checked before anything of size n is allocated.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from typing import Iterable, Iterator
 
 # The most letters parse_word expands a text to.
 MAX_WORD_LETTERS = 100_000
+
+# The most strands a BraidWord may have; a 300 x 300 cable crossing needs 600.
+MAX_STRANDS = 1000
 
 
 class WordSyntaxError(ValueError):
@@ -80,8 +84,8 @@ class BraidWord:
     letters: tuple[ArtinLetter, ...] = ()
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
+        if not 1 <= self.strands <= MAX_STRANDS:
+            raise ValueError(f"strand count must be in [1, {MAX_STRANDS}], got {self.strands}")
         for letter in self.letters:
             if letter.index > self.strands - 1:
                 raise ValueError(

@@ -10,7 +10,6 @@ from braidforge.cabling import (
     assemble,
     assemble_assignment,
     assignment_from_json,
-    assignment_to_json,
     block_transposition,
     cable_certificate,
     normalize_interiors,
@@ -26,6 +25,7 @@ from braidforge.words import (
     concat,
     conjugate,
     exponent_sum,
+    format_word,
     identity_word,
     parse_word,
     underlying_permutation,
@@ -377,6 +377,13 @@ def test_regular_form_json_round_trip():
 
 
 def test_assignment_json_round_trip():
+    def assignment_to_json(tubular, assignment):
+        return {
+            "tubular": format_word(tubular),
+            "widths": list(assignment.widths),
+            "positions": [format_word(w) for w in assignment.interiors],
+        }
+
     tubular = word(2, [1])
     assignment = TubePositionAssignment((2, 2), (word(2, [1]), parse_word("-1", 2)))
     data = assignment_to_json(tubular, assignment)

@@ -13,7 +13,7 @@ import pytest
 
 from braidforge import garside, quasipositive as qp
 from braidforge.cli import run
-from braidforge.words import exponent_sum, parse_word
+from braidforge.words import MAX_STRANDS, exponent_sum, parse_word
 
 
 def run_json(capsys, argv):
@@ -243,6 +243,22 @@ def test_parse_error_exit_code(capsys):
         assert fails_with_one_line(capsys, ["cable", "cert", json.dumps(data)]), data
     # a single 300 x 300 crossing is 90 000 letters, under the cap
     assert run(["cable", "assemble", '{"tubular": "1", "widths": [300, 300]}']) == 0
+    # strand counts past words.MAX_STRANDS, from -n, a certificate or widths
+    assert run(["nf", "-n", str(MAX_STRANDS), "1"]) == 0
+    big, half = "2000000", MAX_STRANDS // 2
+    for argv in [
+        ["nf", "-n", big, "1"],
+        ["conj", "-n", big, "1", "1"],
+        ["root", "-n", big, "-d", "2", "1"],
+        ["qp", "obstruct", "-n", big, "1"],
+        ["cover", "lift", "-n", big, "-k", "2", "1"],
+        ["qp", "expand", '{"n": %s, "bands": []}' % big],
+        ["qp", "verify", '{"n": %s, "bands": []}' % big, "1"],
+        ["cable", "assemble", '{"tubular": "", "widths": [%s]}' % big],
+        ["cable", "assemble", '{"tubular": "", "widths": [%d, %d]}' % (half, MAX_STRANDS + 1 - half)],
+        ["cable", "normalize", '{"tubular": "", "widths": [%d], "positions": [""]}' % (MAX_STRANDS + 1)],
+    ]:
+        assert fails_with_one_line(capsys, argv), argv
 
 
 def test_budget_exit_code(capsys):

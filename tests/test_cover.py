@@ -25,7 +25,6 @@ from braidforge.cover import (
     homology_rep,
     intersection_form,
     lift_word,
-    matrix_from_json,
     matrix_to_json,
     parse_twist_word,
     symmetry_check,
@@ -365,7 +364,11 @@ def test_cross_oracle_base_change():
 
 
 def test_matrix_json_round_trip():
+    def matrix_from_json(data):
+        return np.array(data["rows"], dtype=object).reshape(data["dim"], data["dim"])
+
     H = homology_rep(lift_word(word(3, [1, 2]), 2))
     data = matrix_to_json(H, 3, 2)
     assert data["dim"] == 2 and data["n"] == 3 and data["k"] == 2
+    assert all(type(v) is int for row in data["rows"] for v in row)
     assert np.array_equal(matrix_from_json(data), H)

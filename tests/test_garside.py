@@ -33,7 +33,6 @@ from braidforge.garside import (
     is_equal,
     is_periodic,
     is_positive_braid,
-    nf_from_json,
     nf_inv,
     nf_mul,
     nf_to_json,
@@ -234,10 +233,59 @@ def test_nf_group_ops_match_word_ops():
 
 
 def test_nf_json_round_trip():
+    def nf_from_json(data):
+        factors = tuple(Permutation(tuple(images)) for images in data["factors"])
+        return garside.NormalForm(data["n"], data["delta"], factors)
+
     nf = normal_form(parse_word("1 2 -1 2", 4))
     data = nf_to_json(nf)
     assert set(data) == {"n", "delta", "factors"}
     assert nf_from_json(data) == nf
+
+
+def rescan_renorm(a, b):
+    """Reference left-weighting: rescan every starting letter of b after each
+    move, rebuilding both tuples (O(n) per moved letter)."""
+    a_inv = [0] * len(a)
+    for pos, v in enumerate(a, 1):
+        a_inv[v - 1] = pos
+    a, b = list(a), list(b)
+    while True:
+        for i in range(1, len(b)):
+            if b[i - 1] > b[i] and a_inv[i - 1] < a_inv[i]:
+                a = [i + 1 if v == i else (i if v == i + 1 else v) for v in a]
+                a_inv[i - 1], a_inv[i] = a_inv[i], a_inv[i - 1]
+                b[i - 1], b[i] = b[i], b[i - 1]
+                break
+        else:
+            return tuple(a), tuple(b)
+
+
+def test_renorm_matches_rescan():
+    renorm = garside._renorm.__wrapped__  # uncached, so every pair is computed
+    rng = random.Random(43)
+    pairs = []
+    for n in (1, 2, 3, 5, 8, 16, 30):
+        ident, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+        pairs += [(ident, ident), (ident, w0), (w0, ident), (w0, w0)]
+    for _ in range(10_000):
+        n = rng.randint(1, 30)
+        a, b = list(range(1, n + 1)), list(range(1, n + 1))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        pairs.append((tuple(a), tuple(b)))
+    for a, b in pairs:
+        expected = rescan_renorm(a, b)
+        assert renorm(a, b) == expected, (a, b)
+        # the result is left-weighted, and a left-weighted pair comes back as is
+        a2, b2 = expected
+        again = renorm(a2, b2)
+        assert again[0] is a2 and again[1] is b2
+        assert garside._renorm(a2, b2) == expected
+
+
+def test_renorm_cache_is_bounded():
+    assert isinstance(garside._renorm.cache_info().maxsize, int)
 
 
 def test_normal_form_rewrite_invariance():

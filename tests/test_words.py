@@ -5,6 +5,7 @@ import random
 import pytest
 
 from braidforge.words import (
+    MAX_STRANDS,
     MAX_WORD_LETTERS,
     ArtinLetter,
     BraidWord,
@@ -73,6 +74,19 @@ def test_parse_letter_cap():
     ]:
         with pytest.raises(WordSyntaxError, match="more than"):
             parse_word(text, 3)
+
+
+def test_strand_cap():
+    assert MAX_STRANDS >= 600  # a 300 x 300 cable crossing
+    assert BraidWord(MAX_STRANDS).strands == MAX_STRANDS
+    assert parse_word(f"{MAX_STRANDS - 1}", MAX_STRANDS).strands == MAX_STRANDS
+    for n in [MAX_STRANDS + 1, 2_000_000, 0, -3]:
+        with pytest.raises(ValueError, match="strand count"):
+            BraidWord(n)
+        with pytest.raises(ValueError, match="strand count"):
+            identity_word(n)
+    with pytest.raises(ValueError, match="strand count"):
+        parse_word("1", 2_000_000)
 
 
 def test_parse_errors_carry_position():

@@ -40,6 +40,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .words import (
+    MAX_WORD_LETTERS,
     BraidWord,
     Permutation,
     conjugate,
@@ -322,11 +323,20 @@ def gamma_root_word(n: int) -> BraidWord:
 
 
 def nf_to_word(nf: NormalForm) -> BraidWord:
-    """A word representing nf; normal_form(nf_to_word(nf)) == nf."""
+    """A word representing nf; normal_form(nf_to_word(nf)) == nf.  Δ^p takes
+    |p|·n(n-1)/2 letters, so a short word can have a huge normal form word:
+    raises ValueError, before allocating it, when the word would have more
+    than MAX_WORD_LETTERS letters."""
     n = nf.strands
+    too_long = f"normal form word would have more than {MAX_WORD_LETTERS} letters"
+    if abs(nf.delta_power) * (n * (n - 1) // 2) > MAX_WORD_LETTERS:
+        raise ValueError(too_long)
     letters = list(power(half_twist(n), nf.delta_power).signed_ints()) if nf.delta_power else []
     for factor in nf.factors:
-        letters.extend(_permutation_braid_word(factor.images))
+        factor_letters = _permutation_braid_word(factor.images)
+        if len(letters) + len(factor_letters) > MAX_WORD_LETTERS:
+            raise ValueError(too_long)
+        letters.extend(factor_letters)
     return word(n, letters)
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,12 @@ def test_parse_error_exit_code(capsys):
         ["cable", "normalize", '{"tubular": "", "widths": [%d], "positions": [""]}' % (MAX_STRANDS + 1)],
     ]:
         assert fails_with_one_line(capsys, argv), argv
+    # short words whose normal form word passes the letter cap: Δ^-1000 in
+    # B_30 alone is 435 000 letters, Δ^-200 is 87 000 and its factors 86 800
+    # more; Δ^-100 and its factors are 86 900 in all
+    assert fails_with_one_line(capsys, ["nf", "-n", "30", "1^-1000"])
+    assert fails_with_one_line(capsys, ["nf", "-n", "30", "1^-200"])
+    assert run(["nf", "-n", "30", "1^-100"]) == 0
 
 
 def test_budget_exit_code(capsys):
@@ -294,3 +301,57 @@ def test_verify_paper_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"]["all_passed"]
+
+
+BRAID_SIDE_COMMANDS = [
+    ["nf", "-n", "3", "1 2 1"],
+    ["eq", "-n", "4", "2 3 -2 1 2 -1", "2 1 3 2 -1 -1"],
+    ["conj", "-n", "3", "1 2", "2 1"],
+    ["root", "-n", "3", "-d", "2", "(1 2)^3"],
+    ["qp", "expand", '{"n": 4, "bands": [{"conj": "2", "gen": 3}]}'],
+    ["qp", "verify", '{"n": 4, "bands": [{"conj": "2", "gen": 3}]}', "2 3 -2"],
+    ["qp", "obstruct", "-n", "3", "1 -2"],
+    ["qp", "root", "-n", "3", "-d", "2", "(1 2)^3"],
+    ["cable", "assemble", '{"tubular": "1", "widths": [2, 2], "interiors": [{"orbit": 0, "word": "-1 -1"}]}'],
+    ["cable", "normalize", '{"tubular": "1", "widths": [2, 2], "positions": ["1", "1"]}'],
+    [
+        "cable",
+        "cert",
+        '{"widths": [2, 2], "interiors": [{"n": 2, "bands": []}],'
+        ' "tubular_cert": {"n": 2, "bands": [{"conj": "", "gen": 1}]}}',
+    ],
+]
+
+
+def test_braid_side_commands_do_not_load_numpy():
+    # numpy is loaded by the cover layer and the check suite only; a fresh
+    # process, since this one has imported them already
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import braidforge, braidforge.cli
+
+        def run(argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return braidforge.cli.run(argv)
+
+        codes = [run(argv) for argv in json.loads(sys.argv[1])]
+        loaded = [m for m in ("numpy", "braidforge.cover", "braidforge.checks") if m in sys.modules]
+        cover = run(["cover", "homrep", "-n", "3", "-k", "2", "t[1,1]"])
+        print(json.dumps({"codes": codes, "loaded": loaded, "cover": cover, "numpy": "numpy" in sys.modules}))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(BRAID_SIDE_COMMANDS)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(BRAID_SIDE_COMMANDS)
+    assert result["loaded"] == []
+    assert result["cover"] == 0 and result["numpy"]

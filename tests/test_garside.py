@@ -5,8 +5,8 @@ The independent oracles used here:
   * positive-word equality by breadth-first search over positive relation
     moves (braid relation + far commutation), complete on the positive monoid
     since it embeds in B_n with relations preserving length;
-  * reduced Burau at a formal variable, faithful for n <= 3, as an equality
-    cross-check;
+  * reduced Burau, faithful for n <= 3, as an equality cross-check: at a
+    rational t, and as Laurent matrices in a property test;
   * rewrite invariance: random relation moves and free insertions preserve the
     element by construction, so the normal form must not change;
   * hypothesis property tests (derandomized, so every run draws the same
@@ -22,6 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidforge import garside, quasipositive
+from braidforge.checks import _apply_random_rewrite
+from braidforge.cover import burau_reduced
 from braidforge.garside import (
     BudgetExceededError,
     PeriodicRootKind,
@@ -528,6 +530,22 @@ def test_property_periodic_root_conjugator(case):
     root = periodic_root(w, d)
     assert root is not None
     assert is_equal(conjugate(root.conjugator, power(root.to_word(), d)), w)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(signed_letters(3, 12), st.randoms(use_true_random=False), st.booleans())
+def test_property_is_equal_matches_burau_b3(letters, rng, differ):
+    # reduced Burau is faithful on B_3: an oracle apart from normal forms.
+    # The rewrite moves of the check suite keep the element; inserting the
+    # nontrivial pure braid σ1²σ2⁻² changes it.
+    other = list(letters)
+    for _ in range(rng.randint(1, 20)):
+        other = _apply_random_rewrite(rng, other, 3)
+    if differ:
+        at = rng.randint(0, len(other))
+        other[at:at] = [1, 1, -2, -2]
+    a, b = word(3, letters), word(3, other)
+    assert is_equal(a, b) == (burau_reduced(a) == burau_reduced(b)) == (not differ)
 
 
 def test_qp_root_periodic_runs_one_conjugacy_search(monkeypatch):

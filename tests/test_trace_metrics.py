@@ -18,7 +18,10 @@ def test_tracer_installs():
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
-        "import braidforge, spans; spans.Tracer().install(braidforge)"
+        "import braidforge, spans; spans.Tracer().install(braidforge); "
+        # names the package resolves on first access come back wrapped too
+        "lazy = [braidforge.homology_rep, braidforge.run_suite]; "
+        "sys.exit(None if all(hasattr(f, '__wrapped__') for f in lazy) else 'lazy names not wrapped')"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -7,10 +7,9 @@ On first homology every twist acts by an integral transvection, the deck
 transformation acts by companion blocks, lifted braids commute with the
 deck action, chain-relation words act trivially, and the whole
 representation is an explicit base change away from reduced Burau evaluated
-at the companion matrix of 1 + t + ... + t^{k-1}.
+at the companion matrix of 1 + t + ... + t^{k-1}.  Matrices are lists of
+integer rows, compared with ==.
 """
-
-import numpy as np
 
 from braidforge import (
     base_change,
@@ -27,6 +26,12 @@ from braidforge import (
     symmetry_check,
     word,
 )
+
+
+def mul(A, B):
+    """The product of two integer matrices given as lists of rows."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
 
 print("== cover invariants ==")
 for n, k in [(2, 2), (3, 2), (3, 3), (5, 4)]:
@@ -55,8 +60,8 @@ print()
 print("== chain relations act trivially on H1 ==")
 h1 = homology_rep(lift_word(parse_word("(1 2)^6", 3), 2))
 h2 = homology_rep(lift_word(parse_word("(1 2 3)^4", 4), 2))
-print("(σ1σ2)^6 at (3,2):", "identity" if np.array_equal(h1, np.eye(2, dtype=object)) else h1)
-print("(σ1σ2σ3)^4 at (4,2):", "identity" if np.array_equal(h2, np.eye(3, dtype=object)) else h2)
+print("(σ1σ2)^6 at (3,2):", "identity" if h1 == [[1, 0], [0, 1]] else h1)
+print("(σ1σ2σ3)^4 at (4,2):", "identity" if h2 == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] else h2)
 
 print()
 print("== deck symmetry ==")
@@ -81,4 +86,4 @@ b = parse_word("1 -2 2 1 -1 2", 3)
 print("reduced Burau entries of σ1 in B_3:", [burau_reduced(word(3, [1])).entry(r, c) for r in range(2) for c in range(2)])
 V = base_change(3, 2)
 H = homology_rep(lift_word(b, 2))
-print("H·V == V·B, B = Burau at the companion matrix:", np.array_equal(H @ V, V @ burau_at_companion(b, 2)))
+print("H·V == V·B, B = Burau at the companion matrix:", mul(H, V) == mul(V, burau_at_companion(b, 2)))

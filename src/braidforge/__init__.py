@@ -7,13 +7,9 @@ normal forms, manipulates quasipositivity certificates and the obstructions
 against them, assembles and normalizes cabled (reducible) braids, and
 realizes braid lifts to cyclic branched covers of the disk on integral
 homology, cross-checked against reduced Burau specialized at a companion
-matrix.  Everything is exact: words, permutations, integer matrices with
-Python integers, and Laurent polynomials over the integers.
-
-Only the cover layer (`braidforge.cover`) and the check suite behind
-`verify-paper` (`braidforge.checks`) use numpy.  Their names are resolved on
-first access, so `import braidforge` and the braid-side work (words, Garside,
-quasipositivity, cabling) run without loading numpy.
+matrix.  Everything is exact: words, permutations, integer matrices as
+lists of rows of Python integers, and Laurent polynomials over the integers.
+The package needs nothing outside the standard library.
 """
 
 from .words import (
@@ -79,48 +75,27 @@ from .cabling import (
     regular_form_from_json,
     regular_form_to_json,
 )
+from .cover import (
+    CoverData,
+    LaurentMatrix,
+    TwistLetter,
+    TwistWord,
+    base_change,
+    burau_at_companion,
+    burau_reduced,
+    check_identity,
+    cover_data,
+    deck_matrix,
+    format_twist_word,
+    homology_rep,
+    intersection_form,
+    lift_word,
+    parse_twist_word,
+    symmetry_check,
+)
+from .checks import CheckResult, run_suite
+
 __version__ = "0.1.0"
 
-# names of the numpy-backed submodules, imported on first access (PEP 562)
-_LAZY = {
-    "cover": (
-        "CoverData",
-        "LaurentMatrix",
-        "TwistLetter",
-        "TwistWord",
-        "base_change",
-        "burau_at_companion",
-        "burau_reduced",
-        "check_identity",
-        "cover_data",
-        "deck_matrix",
-        "format_twist_word",
-        "homology_rep",
-        "intersection_form",
-        "lift_word",
-        "parse_twist_word",
-        "symmetry_check",
-    ),
-    "checks": ("CheckResult", "run_suite"),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
-
-# what a star import gave when every submodule was imported eagerly
-__all__ = sorted([name for name in globals() if not name.startswith("_")] + [*_LAZY, *_HOME])
-
-
-def __getattr__(name: str):
-    import importlib
-
-    if name in _LAZY:
-        return importlib.import_module(f".{name}", __name__)
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_HOME})
-
+# the public names and submodules, taken before `cli` can be imported
+__all__ = sorted(name for name in globals() if not name.startswith("_"))

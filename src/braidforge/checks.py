@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import cabling, cover, garside, quasipositive as qp
 from .words import (
     BraidWord,
@@ -111,9 +109,7 @@ def check_chain_relations_h1(seed: int) -> tuple[bool, str]:
     cover of 4 points act as the identity on H_1."""
     h1 = cover.homology_rep(cover.lift_word(parse_word("(1 2)^6", 3), 2))
     h2 = cover.homology_rep(cover.lift_word(parse_word("(1 2 3)^4", 4), 2))
-    ok = np.array_equal(h1, np.eye(2, dtype=object)) and np.array_equal(
-        h2, np.eye(3, dtype=object)
-    )
+    ok = h1 == [[1, 0], [0, 1]] and h2 == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     return ok, "both chain words act as the identity matrix"
 
 
@@ -158,13 +154,14 @@ def check_burau_cross_oracle(seed: int) -> tuple[bool, str]:
     under the fixed base change: 200 random words across five covers."""
     rng = random.Random(seed)
     pairs = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+    changes = {nk: cover.base_change(*nk) for nk in pairs}
     failures = 0
     for idx in range(200):
         n, k = pairs[idx % len(pairs)]
         b = _random_word(rng, n, rng.randint(0, 30))
-        V = cover.base_change(n, k)
+        V = changes[n, k]
         H = cover.homology_rep(cover.lift_word(b, k))
-        if not np.array_equal(H @ V, V @ cover.burau_at_companion(b, k)):
+        if cover._mul(H, V) != cover._mul(V, cover.burau_at_companion(b, k)):
             failures += 1
     return failures == 0, f"200 words over {pairs}, {failures} failures"
 

@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from . import cabling, garside, quasipositive as qp
+from . import cabling, checks, cover, garside, quasipositive as qp
 from .garside import BudgetExceededError, DEFAULT_BUDGET
 from .words import exponent_sum, format_word, parse_word, underlying_permutation
 
@@ -276,8 +276,6 @@ def run(argv: list[str]) -> int:
         elif args.command == "cover":
             report = _run_cover(args, started)
         elif args.command == "verify-paper":
-            from . import checks  # numpy, loaded only by the commands that use it
-
             results = checks.run_suite(args.seed)
             if as_json:
                 report = _report(
@@ -411,8 +409,6 @@ def _run_cable(args, started: float) -> dict:
 
 
 def _run_cover(args, started: float) -> dict:
-    from . import cover  # numpy, loaded only by the commands that use it
-
     n, k = args.n, args.k
     if args.cover_command == "data":
         data = cover.cover_data(n, k)

@@ -25,8 +25,11 @@ change V = diag(W, W^2, ..., W^{n-1}) with W = -K^{-1}, doubles as an
 independent cross-check of the whole construction; `base_change` verifies it
 on the generators before returning it.
 
-Everything is exact: integer matrices use Python integers (numpy object
-arrays), Burau matrices are Laurent polynomials with integer coefficients.
+Everything is exact: an integer matrix is a list of rows, each a list of
+Python integers, and a Burau matrix is a Laurent polynomial with such
+matrices as coefficients.  A matrix of rank (n-1)(k-1) above MAX_H1_RANK is
+refused before it is allocated, and so is a lift of more than
+MAX_WORD_LETTERS twists.
 Homology-level equality of twist words is a necessary condition for equality
 in the mapping class group, never claimed sufficient.
 """
@@ -35,12 +38,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
+from operator import add, sub
 
-import numpy as np
-
-from .words import BraidWord, word
+from .words import MAX_WORD_LETTERS, BraidWord, word
 
 __all__ = [
     "CoverData",
@@ -61,6 +62,10 @@ __all__ = [
     "base_change",
     "matrix_to_json",
 ]
+
+# The largest H_1 rank d = (n-1)(k-1) of a matrix built here: a d x d list
+# of small integers takes 8·d² bytes, 32 MB at the cap.
+MAX_H1_RANK = 2000
 
 
 # --- cover invariants ----------------------------------------------------------
@@ -152,7 +157,12 @@ def lift_word(b: BraidWord, k: int) -> TwistWord:
     The lift of a braid word to the k-fold cover: σ_i becomes the ascending
     chain t_{i,1} ... t_{i,k-1}, σ_i^{-1} the descending chain of inverses,
     letter by letter (so the lift of a product is the product of lifts).
+    Raises ValueError, before allocating it, when the lift would have more
+    than MAX_WORD_LETTERS twists.
     """
+    count = len(b) * (k - 1)
+    if count > MAX_WORD_LETTERS:
+        raise ValueError(f"lift would have {count} twists, more than {MAX_WORD_LETTERS}")
     letters: list[TwistLetter] = []
     for letter in b.letters:
         if letter.sign > 0:
@@ -191,12 +201,44 @@ def format_twist_word(w: TwistWord) -> str:
 # --- exact integer linear algebra ----------------------------------------------
 
 
-def _int_matrix(rows) -> np.ndarray:
-    return np.array([[int(v) for v in row] for row in rows], dtype=object)
+def _identity(d: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
 
 
-def _identity(d: int) -> np.ndarray:
-    return _int_matrix([[1 if i == j else 0 for j in range(d)] for i in range(d)])
+def _transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(row) for row in zip(*rows)]
+
+
+def _mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """The product A·B of integer matrices, skipping the zero entries of both."""
+    sparse = [[(c, v) for c, v in enumerate(row) if v] for row in B]
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, b_row in zip(row, sparse):
+            if a:
+                for c, v in b_row:
+                    acc[c] += a * v
+        out.append(acc)
+    return out
+
+
+def _block_diagonal(blocks: list[list[list[int]]]) -> list[list[int]]:
+    d = sum(map(len, blocks))
+    out = []
+    for block in blocks:
+        start = len(out)
+        out.extend([0] * start + row + [0] * (d - start - len(row)) for row in block)
+    return out
+
+
+def _h1_rank(n: int, k: int) -> int:
+    """The H_1 rank (n-1)(k-1) of a matrix about to be built, refused above
+    MAX_H1_RANK."""
+    d = (n - 1) * (k - 1)
+    if d > MAX_H1_RANK:
+        raise ValueError(f"H_1 rank (n-1)(k-1) = {d} is more than {MAX_H1_RANK}")
+    return d
 
 
 # --- intersection form, deck action, homology ------------------------------------
@@ -206,8 +248,21 @@ def _basis_index(i: int, l: int, k: int) -> int:
     return (i - 1) * (k - 1) + (l - 1)
 
 
-@lru_cache(maxsize=None)
-def intersection_form(n: int, k: int) -> np.ndarray:
+# (disk step, band step, pairing) of the at most six curves meeting e_{i,l}
+_NEIGHBOURS = ((0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1), (1, -1, 1), (-1, 1, -1))
+
+
+def _pairings(i: int, l: int, n: int, k: int) -> list[tuple[int, int]]:
+    """The nonzero entries (f, J[e, f]) of row e = e_{i,l} of the
+    intersection form."""
+    return [
+        (_basis_index(i + di, l + dl, k), v)
+        for di, dl, v in _NEIGHBOURS
+        if 1 <= i + di <= n - 1 and 1 <= l + dl <= k - 1
+    ]
+
+
+def intersection_form(n: int, k: int) -> list[list[int]]:
     """
     The antisymmetric intersection pairing of the basis curve classes.  Only
     curves adjacent in the band grid pair: e_{i,l} with e_{i,l+1} to -1, with
@@ -218,48 +273,41 @@ def intersection_form(n: int, k: int) -> np.ndarray:
     curves or reflecting the surface, which no identity here can see.
     """
     cover_data(n, k)
-    d = (n - 1) * (k - 1)
+    d = _h1_rank(n, k)
     J = [[0] * d for _ in range(d)]
-
-    def put(a: int, b: int, v: int) -> None:
-        J[a][b] = v
-        J[b][a] = -v
-
     for i in range(1, n):
         for l in range(1, k):
-            e = _basis_index(i, l, k)
-            if l + 1 <= k - 1:
-                put(e, _basis_index(i, l + 1, k), -1)
-            if i + 1 <= n - 1:
-                put(e, _basis_index(i + 1, l, k), -1)
-                if l - 1 >= 1:
-                    put(e, _basis_index(i + 1, l - 1, k), 1)
-    return _int_matrix(J)
+            row = J[_basis_index(i, l, k)]
+            for f, v in _pairings(i, l, n, k):
+                row[f] = v
+    return J
 
 
-def deck_matrix(n: int, k: int) -> np.ndarray:
+def deck_matrix(n: int, k: int) -> list[list[int]]:
     """The H_1 action of the deck transformation: one companion block of
     1 + t + ... + t^{k-1} per disk gap, of order exactly k."""
     cover_data(n, k)
-    return np.kron(_identity(n - 1), _companion(k))
+    _h1_rank(n, k)
+    return _block_diagonal([_companion(k)] * (n - 1))
 
 
-def homology_rep(w: TwistWord) -> np.ndarray:
+def homology_rep(w: TwistWord) -> list[list[int]]:
     """
     The integer H_1 matrix of a twist word: the product of the letters'
     transvections in word order (matrices act on column vectors; the map is a
     homomorphism into matrices multiplied left-to-right).  The twist about
     basis curve e right-multiplies by I ± e·(Je)^T, which adds ±J[j, e] times
     column e to each of the at most six columns j with J[j, e] != 0; column e
-    itself never changes, since J[e, e] = 0.
+    itself never changes, since J[e, e] = 0.  The columns are kept as lists
+    and transposed once at the end.
     """
-    J = intersection_form(w.n, w.k)
-    out = _identity((w.n - 1) * (w.k - 1))
+    cols = _identity(_h1_rank(w.n, w.k))
     for letter in w.letters:
-        e = _basis_index(letter.i, letter.l, w.k)
-        for j in np.flatnonzero(J[:, e]):
-            out[:, j] += letter.sign * J[j, e] * out[:, e]
-    return out
+        col = cols[_basis_index(letter.i, letter.l, w.k)]
+        for j, v in _pairings(letter.i, letter.l, w.n, w.k):
+            # J[j, e] = -J[e, j] = -v
+            cols[j] = list(map(sub if letter.sign * v > 0 else add, cols[j], col))
+    return _transpose(cols)
 
 
 def symmetry_check(w: TwistWord) -> bool:
@@ -267,7 +315,7 @@ def symmetry_check(w: TwistWord) -> bool:
     class: its H_1 matrix commutes with the deck action."""
     H = homology_rep(w)
     D = deck_matrix(w.n, w.k)
-    return np.array_equal(H @ D, D @ H)
+    return _mul(H, D) == _mul(D, H)
 
 
 def check_identity(a: TwistWord, b: TwistWord) -> bool:
@@ -276,7 +324,7 @@ def check_identity(a: TwistWord, b: TwistWord) -> bool:
     two braid lifts prefer the exact braid-side word problem."""
     if (a.n, a.k) != (b.n, b.k):
         raise ValueError("twist words live on different covers")
-    return np.array_equal(homology_rep(a), homology_rep(b))
+    return homology_rep(a) == homology_rep(b)
 
 
 # --- reduced Burau and the companion specialization ------------------------------
@@ -288,39 +336,47 @@ class LaurentMatrix:
     stored as exponent -> integer coefficient matrix."""
 
     size: int
-    coeffs: dict[int, np.ndarray]
+    coeffs: dict[int, list[list[int]]]
 
     @staticmethod
     def identity(size: int) -> LaurentMatrix:
         return LaurentMatrix(size, {0: _identity(size)})
 
-    def _trimmed(self) -> dict[int, np.ndarray]:
-        return {e: m for e, m in self.coeffs.items() if np.any(m != 0)}
+    def _trimmed(self) -> dict[int, list[list[int]]]:
+        return {e: m for e, m in self.coeffs.items() if any(map(any, m))}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix) or self.size != other.size:
             return NotImplemented
-        a, b = self._trimmed(), other._trimmed()
-        return set(a) == set(b) and all(np.array_equal(a[e], b[e]) for e in a)
+        return self._trimmed() == other._trimmed()
 
     def entry(self, r: int, c: int) -> dict[int, int]:
-        return {
-            e: int(m[r, c]) for e, m in self._trimmed().items() if m[r, c] != 0
-        }
+        return {e: m[r][c] for e, m in self._trimmed().items() if m[r][c]}
 
-    def at_matrix(self, K: np.ndarray) -> np.ndarray:
+    def at_matrix(self, K: list[list[int]]) -> list[list[int]]:
         """Blockwise substitution of the companion matrix K of
         1 + t + ... + t^{k-1} for t: entry p(t) becomes the block p(K).
-        K has order k, so K^e = K^(e mod k) and K^{-1} = K^{k-1}."""
-        k = K.shape[0] + 1
-        powers = [_identity(k - 1)]
-        for _ in range(k - 1):
-            powers.append(powers[-1] @ K)
-        if not np.array_equal(powers[-1] @ K, powers[0]):
+        K multiplies by t in Z[t]/(1 + t + ... + t^{k-1}) on the basis
+        1, t, ..., t^{k-2}, so column i of K^e is the class of t^{(i+e) mod k},
+        with t^{k-1} = -(1 + t + ... + t^{k-2})."""
+        m = len(K)
+        k = m + 1
+        if K != _companion(k):
             raise ValueError("at_matrix needs the companion matrix of 1 + t + ... + t^{k-1}")
-        acc = np.zeros((self.size * (k - 1),) * 2, dtype=object)
-        for e, m in self._trimmed().items():
-            acc = acc + np.kron(m, powers[e % k])
+        acc = [[0] * (self.size * m) for _ in range(self.size * m)]
+        for e, mat in self._trimmed().items():
+            for r, row in enumerate(mat):
+                for c, v in enumerate(row):
+                    if not v:
+                        continue
+                    block = acc[r * m : (r + 1) * m]
+                    for i in range(m):
+                        s = (i + e) % k
+                        if s < m:
+                            block[s][c * m + i] += v
+                        else:
+                            for acc_row in block:
+                                acc_row[c * m + i] -= v
         return acc
 
 
@@ -342,51 +398,52 @@ def burau_reduced(b: BraidWord) -> LaurentMatrix:
     specialization at the companion matrix consists of homology
     transvections.  Right-multiplying by it replaces column i by -t^{±1}
     times itself and adds monomial multiples of the old column i to columns
-    i-1 and i+1; the other columns do not change.
+    i-1 and i+1; the other columns do not change.  The coefficients are kept
+    as lists of columns and transposed once at the end.
     """
     if b.strands < 2:
         raise ValueError("reduced Burau needs n >= 2")
     d = b.strands - 1
-    coeffs = LaurentMatrix.identity(d).coeffs
+    cols = {0: _identity(d)}
     for letter in b.letters:
         r = letter.index - 1
-        column = {e: m[:, r].copy() for e, m in coeffs.items() if m[:, r].any()}
+        column = {e: cs[r] for e, cs in cols.items() if any(cs[r])}
         for e in column:
-            coeffs[e][:, r] = 0
+            cols[e][r] = [0] * d
         for offset, shift, v in _BURAU_ROW[letter.sign]:
             if 0 <= r + offset < d:
                 for e, col in column.items():
-                    if e + shift not in coeffs:
-                        coeffs[e + shift] = np.zeros((d, d), dtype=object)
-                    coeffs[e + shift][:, r + offset] += v * col
-    return LaurentMatrix(d, {e: m for e, m in coeffs.items() if np.any(m != 0)})
+                    if e + shift not in cols:
+                        cols[e + shift] = [[0] * d for _ in range(d)]
+                    cs = cols[e + shift]
+                    cs[r + offset] = [x + v * y for x, y in zip(cs[r + offset], col)]
+    return LaurentMatrix(d, {e: _transpose(cs) for e, cs in cols.items() if any(map(any, cs))})
 
 
-@lru_cache(maxsize=None)
-def _companion(k: int) -> np.ndarray:
+def _companion(k: int) -> list[list[int]]:
     """Companion matrix of 1 + t + ... + t^{k-1}, the deck action on one row."""
     K = [[0] * (k - 1) for _ in range(k - 1)]
     for l in range(k - 2):
         K[l + 1][l] = 1
     for l in range(k - 1):
         K[l][k - 2] = -1
-    return _int_matrix(K)
+    return K
 
 
-def burau_at_companion(b: BraidWord, k: int) -> np.ndarray:
+def burau_at_companion(b: BraidWord, k: int) -> list[list[int]]:
     """Reduced Burau with the companion matrix of 1 + t + ... + t^{k-1}
     substituted blockwise for t: an (n-1)(k-1) integer matrix modelling the
     H_1 action on the k-fold cover."""
     if k < 2:
         raise ValueError("companion specialization needs k >= 2")
+    _h1_rank(b.strands, k)
     return burau_reduced(b).at_matrix(_companion(k))
 
 
 # --- the Burau base change --------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def base_change(n: int, k: int) -> np.ndarray:
+def base_change(n: int, k: int) -> list[list[int]]:
     """
     The unimodular V with homology_rep(lift(b))·V = V·burau_at_companion(b)
     for every braid b on n strands: V = diag(W, W^2, ..., W^{n-1}) with
@@ -396,19 +453,20 @@ def base_change(n: int, k: int) -> np.ndarray:
     unimodular.
     """
     cover_data(n, k)
-    K = _companion(k)
-    W = -np.linalg.matrix_power(K, k - 1)
-    if not np.array_equal(W @ -K, _identity(k - 1)):
-        raise AssertionError(f"internal error: -K^{{k-1}} is not the inverse of -K for k = {k}")
+    _h1_rank(n, k)
     m = k - 1
-    V = np.zeros(((n - 1) * m, (n - 1) * m), dtype=object)
-    block = _identity(m)
-    for i in range(n - 1):
-        block = block @ W
-        V[i * m : (i + 1) * m, i * m : (i + 1) * m] = block
+    K = _companion(k)
+    # K^{-1} = K^{k-1} sends t^i to t^{i-1}: column 0 is t^{k-1} = -(1 + ... + t^{k-2})
+    W = [[1 if c == 0 else -(r == c - 1) for c in range(m)] for r in range(m)]
+    if _mul(W, [[-v for v in row] for row in K]) != _identity(m):
+        raise AssertionError(f"internal error: -K^{{k-1}} is not the inverse of -K for k = {k}")
+    blocks = [W]
+    while len(blocks) < n - 1:
+        blocks.append(_mul(blocks[-1], W))
+    V = _block_diagonal(blocks)
     for i in range(1, n):
         b = word(n, [i])
-        if not np.array_equal(homology_rep(lift_word(b, k)) @ V, V @ burau_at_companion(b, k)):
+        if _mul(homology_rep(lift_word(b, k)), V) != _mul(V, burau_at_companion(b, k)):
             raise AssertionError(
                 f"internal error: the Burau base change fails on σ_{i} for (n, k) = ({n}, {k})"
             )
@@ -418,10 +476,5 @@ def base_change(n: int, k: int) -> np.ndarray:
 # --- JSON -----------------------------------------------------------------------
 
 
-def matrix_to_json(mat: np.ndarray, n: int, k: int) -> dict:
-    return {
-        "n": n,
-        "k": k,
-        "dim": int(mat.shape[0]),
-        "rows": [[int(v) for v in row] for row in mat],
-    }
+def matrix_to_json(mat: list[list[int]], n: int, k: int) -> dict:
+    return {"n": n, "k": k, "dim": len(mat), "rows": mat}

@@ -76,6 +76,11 @@ __all__ = [
 
 DEFAULT_BUDGET = 2000
 
+# The most entries, strands times letters, of a word whose normal form is
+# computed: it holds up to one n-tuple per letter, about 44 bytes an entry.
+# `cable cert` at widths [10, 10, 10] normal-forms 1.8 million.
+MAX_NF_ENTRIES = 5_000_000
+
 
 class BudgetExceededError(RuntimeError):
     """Conjugacy search ran out of its node budget: the answer is unknown,
@@ -264,13 +269,24 @@ def _wrap(n: int, raw: RawNF) -> NormalForm:
     return NormalForm(n, delta, tuple(Permutation(f) for f in factors))
 
 
+def _check_nf_size(n: int, letters: int) -> None:
+    if n * letters > MAX_NF_ENTRIES:
+        raise ValueError(
+            f"a word of {letters} letters on {n} strands is more than "
+            f"{MAX_NF_ENTRIES} normal-form entries"
+        )
+
+
 def _raw_normal_form(w: BraidWord) -> RawNF:
+    _check_nf_size(w.strands, len(w))
     ident = _t_identity(w.strands)
     return _product(w.strands, [(_t_append(ident, l.index), l.sign) for l in w.letters])
 
 
 def normal_form(w: BraidWord) -> NormalForm:
-    """Compute the left normal form of a word; canonical for group equality."""
+    """Compute the left normal form of a word; canonical for group equality.
+    Raises ValueError, before normalizing, when strands times letters is
+    more than MAX_NF_ENTRIES."""
     return _wrap(w.strands, _raw_normal_form(w))
 
 
@@ -403,6 +419,7 @@ def is_periodic(w: BraidWord) -> bool:
     n = w.strands
     if n < 2:
         raise ValueError("periodicity needs n >= 2")
+    _check_nf_size(n, n * len(w))  # before w^n is allocated
     for exponent in (n, n - 1):
         if normal_form(power(w, exponent)).is_central():
             return True

@@ -2,9 +2,8 @@
 Acceptance suite: one test per criterion, each timed against its stated
 bound and printing a PASS line (run with `pytest tests/test_acceptance.py -v -s`
 to see them).  The underlying computations live in braidforge.checks, shared
-with the `verify-paper` CLI subcommand; the cached intersection forms, base
-changes (each verified on the generators when built) and half-twist normal
-forms are warmed up front, since they are one-time set-up rather than
+with the `verify-paper` CLI subcommand; the cached half-twist normal forms
+are warmed up front, since they are one-time set-up rather than
 per-criterion work.
 """
 
@@ -13,7 +12,6 @@ import time
 import pytest
 
 from braidforge import checks
-from braidforge.cover import base_change, intersection_form
 from braidforge.garside import half_twist, normal_form
 from braidforge.words import parse_word
 
@@ -22,10 +20,6 @@ SEED = 0
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_caches():
-    for n, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)]:
-        intersection_form(n, k)
-    for n, k in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
-        base_change(n, k)
     for n in range(2, 7):
         normal_form(half_twist(n))
 

@@ -3,6 +3,7 @@ CLI tests: subcommand coverage, JSON/text verdict agreement, exit codes, and
 the thin-adapter property (CLI verdicts equal direct library results).
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from braidforge import garside, quasipositive as qp
-from braidforge.cli import run
-from braidforge.words import MAX_STRANDS, exponent_sum, parse_word
+from braidforge.cli import build_parser, run
+from braidforge.cover import MAX_H1_RANK
+from braidforge.garside import MAX_NF_ENTRIES
+from braidforge.words import MAX_STRANDS, MAX_WORD_LETTERS, exponent_sum, parse_word
 
 
 def run_json(capsys, argv):
@@ -266,6 +269,36 @@ def test_parse_error_exit_code(capsys):
     assert fails_with_one_line(capsys, ["nf", "-n", "30", "1^-1000"])
     assert fails_with_one_line(capsys, ["nf", "-n", "30", "1^-200"])
     assert run(["nf", "-n", "30", "1^-100"]) == 0
+    # words whose normal form would hold more than garside.MAX_NF_ENTRIES
+    # strand entries: 1000 strands times 5001 letters, and a w^100 in B_100
+    # of 100 times 600 letters, which periodic refuses before building it
+    over = "1^-%d" % (MAX_NF_ENTRIES // 1000 + 1)
+    for argv in [
+        ["nf", "-n", "1000", over],
+        ["eq", "-n", "1000", over, "1"],
+        ["periodic", "-n", "100", "1^%d" % (MAX_NF_ENTRIES // 100**2 + 100)],
+    ]:
+        assert fails_with_one_line(capsys, argv), argv
+    # lifts past the letter cap: len(w)·(k-1) twists
+    cap = MAX_WORD_LETTERS
+    assert run(["cover", "lift", "-n", "3", "-k", str(cap + 1), "1"]) == 0
+    for argv in [
+        ["cover", "lift", "-n", "3", "-k", str(cap + 2), "1"],
+        ["cover", "lift", "-n", "3", "-k", "200000", "1 2 1 2 1"],
+    ]:
+        assert fails_with_one_line(capsys, argv), argv
+    # matrices past cover.MAX_H1_RANK; cover data holds no matrix
+    rank = MAX_H1_RANK
+    assert run(["cover", "ideq", "-n", "2", "-k", str(rank + 1), "t[1,1]", "t[1,1]"]) == 0
+    assert run(["cover", "data", "-n", "100000", "-k", "100000"]) == 0
+    for argv in [
+        ["cover", "deck", "-n", "2", "-k", str(rank + 2)],
+        ["cover", "deck", "-n", "46", "-k", "46"],
+        ["cover", "homrep", "-n", "2", "-k", str(rank + 2), "t[1,1]"],
+        ["cover", "symcheck", "-n", str(rank + 2), "-k", "2", "t[1,1]"],
+        ["cover", "ideq", "-n", "2", "-k", str(rank + 2), "t[1,1]", "t[1,1]"],
+    ]:
+        assert fails_with_one_line(capsys, argv), argv
 
 
 def test_budget_exit_code(capsys):
@@ -303,9 +336,13 @@ def test_verify_paper_under_python_O():
     assert json.loads(proc.stdout)["verdict"]["all_passed"]
 
 
-BRAID_SIDE_COMMANDS = [
+EVERY_COMMAND = [
     ["nf", "-n", "3", "1 2 1"],
     ["eq", "-n", "4", "2 3 -2 1 2 -1", "2 1 3 2 -1 -1"],
+    ["abel", "-n", "3", "1 -2 1"],
+    ["perm", "-n", "3", "1 2"],
+    ["positive", "-n", "3", "1 -2"],
+    ["periodic", "-n", "3", "1 2"],
     ["conj", "-n", "3", "1 2", "2 1"],
     ["root", "-n", "3", "-d", "2", "(1 2)^3"],
     ["qp", "expand", '{"n": 4, "bands": [{"conj": "2", "gen": 3}]}'],
@@ -320,38 +357,55 @@ BRAID_SIDE_COMMANDS = [
         '{"widths": [2, 2], "interiors": [{"n": 2, "bands": []}],'
         ' "tubular_cert": {"n": 2, "bands": [{"conj": "", "gen": 1}]}}',
     ],
+    ["cover", "data", "-n", "3", "-k", "3"],
+    ["cover", "lift", "-n", "3", "-k", "3", "1 -2"],
+    ["cover", "homrep", "-n", "3", "-k", "2", "t[1,1]"],
+    ["cover", "deck", "-n", "3", "-k", "3"],
+    ["cover", "symcheck", "-n", "3", "-k", "3", "t[1,1] t[1,2]"],
+    ["cover", "ideq", "-n", "3", "-k", "2", "t[1,1] t[2,1] t[1,1]", "t[2,1] t[1,1] t[2,1]"],
+    ["verify-paper", "--seed", "0"],
 ]
 
 
+def leaf_commands(parser, prefix=()):
+    """Every runnable subcommand of the parser, as a tuple of names."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix}
+    return {
+        leaf
+        for name, sub in subs[0].choices.items()
+        for leaf in leaf_commands(sub, prefix + (name,))
+    }
+
+
 def test_braid_side_commands_do_not_load_numpy():
-    # numpy is loaded by the cover layer and the check suite only; a fresh
-    # process, since this one has imported them already
+    # nothing in the package imports numpy: every subcommand runs in a fresh
+    # process in which importing it fails
+    assert {tuple(a for a in argv[:2] if not a.startswith("-")) for argv in EVERY_COMMAND} == (
+        leaf_commands(build_parser())
+    )
     script = textwrap.dedent(
         """
         import contextlib, io, json, sys
-        import braidforge, braidforge.cli
+        sys.modules["numpy"] = None
+        import braidforge.cli
 
         def run(argv):
             with contextlib.redirect_stdout(io.StringIO()):
                 return braidforge.cli.run(argv)
 
-        codes = [run(argv) for argv in json.loads(sys.argv[1])]
-        loaded = [m for m in ("numpy", "braidforge.cover", "braidforge.checks") if m in sys.modules]
-        cover = run(["cover", "homrep", "-n", "3", "-k", "2", "t[1,1]"])
-        print(json.dumps({"codes": codes, "loaded": loaded, "cover": cover, "numpy": "numpy" in sys.modules}))
+        print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
         """
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(BRAID_SIDE_COMMANDS)],
+        [sys.executable, "-c", script, json.dumps(EVERY_COMMAND)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * len(BRAID_SIDE_COMMANDS)
-    assert result["loaded"] == []
-    assert result["cover"] == 0 and result["numpy"]
+    assert json.loads(proc.stdout) == [0] * len(EVERY_COMMAND)

@@ -1,35 +1,46 @@
 """
 Tests for cover invariants, lifts, the homology representation, and the
 Burau cross-oracle.  Rank computations and characteristic polynomials use
-sympy as an independent exact oracle.
+sympy as an independent exact oracle, and dense products use numpy object
+arrays: the library's matrices (lists of integer rows) are converted where
+they enter a test.
 """
 
+import copy
 import random
 
 import numpy as np
 import pytest
 import sympy
 
+from braidforge import cover
 from braidforge.cover import (
     CoverData,
     LaurentMatrix,
     TwistLetter,
     TwistWord,
-    base_change,
-    burau_at_companion,
     burau_reduced,
     check_identity,
     cover_data,
-    deck_matrix,
     format_twist_word,
-    homology_rep,
-    intersection_form,
     lift_word,
     matrix_to_json,
     parse_twist_word,
     symmetry_check,
 )
 from braidforge.words import concat, exponent_sum, invert_word, parse_word, power, word
+
+
+def dense(f):
+    """f with its matrix converted to a numpy object array."""
+    return lambda *args: np.array(f(*args), dtype=object)
+
+
+base_change = dense(cover.base_change)
+burau_at_companion = dense(cover.burau_at_companion)
+deck_matrix = dense(cover.deck_matrix)
+homology_rep = dense(cover.homology_rep)
+intersection_form = dense(cover.intersection_form)
 
 
 def random_word(rng, n, length):
@@ -367,8 +378,22 @@ def test_matrix_json_round_trip():
     def matrix_from_json(data):
         return np.array(data["rows"], dtype=object).reshape(data["dim"], data["dim"])
 
-    H = homology_rep(lift_word(word(3, [1, 2]), 2))
+    H = cover.homology_rep(lift_word(word(3, [1, 2]), 2))
     data = matrix_to_json(H, 3, 2)
     assert data["dim"] == 2 and data["n"] == 3 and data["k"] == 2
     assert all(type(v) is int for row in data["rows"] for v in row)
     assert np.array_equal(matrix_from_json(data), H)
+
+
+def test_returned_matrices_are_fresh():
+    # every call builds its matrices anew, so changing one a caller holds
+    # changes no later result
+    w = lift_word(parse_word("1 -2 1 2", 3), 3)
+    J, V, H = cover.intersection_form(3, 3), cover.base_change(3, 3), cover.homology_rep(w)
+    expected = copy.deepcopy((J, V, H))
+    J[0][1] = 5
+    V[0][0] = 7
+    H[0][0] = 9
+    assert cover.intersection_form(3, 3) == expected[0]
+    assert cover.base_change(3, 3) == expected[1]
+    assert cover.homology_rep(w) == expected[2]

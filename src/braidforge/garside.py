@@ -12,7 +12,8 @@ inf = p and sup = p + ℓ are the usual Garside invariants.
 Internally an element is the raw pair (p, factors) of image tuples, and one
 kernel, `_normalize`, left-normalizes Δ^p times any list of permutation
 braids in a single sweep; the pair becomes a `NormalForm` only where a public
-function returns.
+function returns.  A word enters the kernel as simple steps, one per maximal
+run of letters of one sign that is a permutation braid (`_simple_steps`).
 
 Conjugacy is decided by reducing both elements into their super summit sets
 (iterated cycling and decycling) and closing one set under conjugation by
@@ -25,10 +26,12 @@ then verified.  The search carries an explicit node budget; exhausting it
 raises BudgetExceededError rather than guessing.
 
 Normal forms are not confined to desk scale: left-weighting a pair costs
-O(n) plus O(1) per letter it moves (see `_renorm`).  The conjugacy search is:
-it is written for n up to about 6 or 7 and canonical lengths in the tens,
-since each node tries all n! - 1 simple conjugators.  Reducible-braid
-structure (see `cabling`) is always caller-supplied, never detected here.
+O(n) plus O(1) per letter it moves (see `_renorm`), and a factor that becomes
+Δ goes to the front in one step, applying τ to the factors before it.  The
+conjugacy search is: it is written for n up to about 6 or 7 and canonical
+lengths in the tens, since each node tries all n! - 1 simple conjugators.
+Reducible-braid structure (see `cabling`) is always caller-supplied, never
+detected here.
 """
 
 from __future__ import annotations
@@ -115,19 +118,18 @@ def _t_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 def _t_tau(p: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugation by Δ: τ(x) = Δ^{-1} x Δ, an involution on permutations."""
-    n = len(p)
-    return tuple(n + 1 - p[n - i] for i in range(1, n + 1))
-
-
-def _t_append(p: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """p followed by the transposition (i, i+1): swap the values i, i+1."""
-    return tuple(i + 1 if v == i else (i if v == i + 1 else v) for v in p)
+    m = len(p) + 1
+    return tuple([m - v for v in reversed(p)])
 
 
 # The most pairs the _renorm cache keeps: twice the 26 000-28 000 pairs that
 # the benchmark's conj-qp workload reuses round after round.  A cache smaller
 # than a reused working set evicts each pair before its next use.
 _RENORM_CACHE_SIZE = 1 << 16
+
+# The most strands of a pair the cache keeps, so that a full cache holds
+# about 40 MB whatever n is; larger pairs are left-weighted uncached.
+_RENORM_CACHE_STRANDS = 16
 
 
 @lru_cache(maxsize=_RENORM_CACHE_SIZE)
@@ -143,7 +145,8 @@ def _renorm(a: tuple[int, ...], b: tuple[int, ...]):
     an ascent of b until a neighbour moves.  So a stack of candidate indices
     drives the moves, each costs O(1), and a pair costs O(n) plus O(1) per
     transferred letter.  Results are cached, at most _RENORM_CACHE_SIZE of
-    them (least recently used first out).
+    them (least recently used first out), for pairs of at most
+    _RENORM_CACHE_STRANDS strands.
     """
     n = len(a)
     # a^{-1} and b, 1-based; b is padded so that indices 0 and n never move
@@ -178,29 +181,37 @@ def _normalize(n: int, delta: int, factors: list[tuple[int, ...]]) -> RawNF:
     """
     Left-normalize Δ^delta · f_1 ... f_m for permutation braids f_i, any of
     which may be trivial or Δ.  One sweep suffices: after each rewrite it
-    steps back one pair, so every pair left of the cursor stays left-weighted,
-    and any Δ ends up at the front.
+    steps back one pair, so every pair left of the cursor stays left-weighted.
+    A left factor that becomes Δ goes to the front at once, by
+    x_1 ... x_{i-1} Δ = Δ τ(x_1) ... τ(x_{i-1}); τ keeps those pairs
+    left-weighted, so the sweep steps back one pair as after any rewrite.
     """
     ident = _t_identity(n)
     w0 = _t_w0(n)
+    renorm = _renorm if n <= _RENORM_CACHE_STRANDS else _renorm.__wrapped__
     factors = [f for f in factors if f != ident]
     i = 0
     while i < len(factors) - 1:
         a, b = factors[i], factors[i + 1]
-        a2, b2 = _renorm(a, b)
-        if a2 == a and b2 == b:
+        a2, b2 = renorm(a, b)
+        if a2 == w0:
+            delta += 1
+            for j in range(i):
+                factors[j] = _t_tau(factors[j])
+            rewritten = [b2]
+        elif b2 == b:  # nothing moved
             i += 1
             continue
-        factors[i] = a2
-        if b2 == ident:
-            del factors[i + 1]
         else:
-            factors[i + 1] = b2
+            rewritten = [a2, b2]
+        if b2 == ident:
+            rewritten.pop()
+        factors[i:i + 2] = rewritten
         i = max(i - 1, 0)
-    front = 0
-    while front < len(factors) and factors[front] == w0:
-        front += 1
-    return delta + front, tuple(factors[front:])
+    # a single factor is never the left of a pair
+    if factors == [w0]:
+        return delta + 1, ()
+    return delta, tuple(factors)
 
 
 # a step (s, ±1) is a permutation braid s or its inverse
@@ -223,6 +234,31 @@ def _product(n: int, steps: list[Step]) -> RawNF:
         if steps[j][1] < 0:
             delta -= 1
     return _normalize(n, delta, factors)
+
+
+def _simple_steps(w: BraidWord) -> list[Step]:
+    """
+    w cut into maximal runs of one sign that are permutation braids, one step
+    per run.  A positive run s takes σ_i while the values i and i+1 are not
+    yet inverted in s; an inverse run σ_{i_1}^{-1} ... σ_{i_k}^{-1} is t^{-1}
+    for t = σ_{i_k} ... σ_{i_1}, which takes σ_i while the positions i and
+    i+1 of t are an ascent.  Both are one swap in one list: the positions of
+    the values of s, or t itself.  So Δ^p written out comes back as |p| steps.
+    """
+    steps: list[Step] = []
+    sign = 0
+    run: list[int] = []
+    for letter in w.letters:
+        i = letter.index
+        if letter.sign != sign or run[i - 1] > run[i]:
+            if sign:
+                steps.append((_t_inv(run) if sign > 0 else tuple(run), sign))
+            sign = letter.sign
+            run = list(range(1, w.strands + 1))
+        run[i - 1], run[i] = run[i], run[i - 1]
+    if sign:
+        steps.append((_t_inv(run) if sign > 0 else tuple(run), sign))
+    return steps
 
 
 # --- normal form -------------------------------------------------------------
@@ -279,8 +315,7 @@ def _check_nf_size(n: int, letters: int) -> None:
 
 def _raw_normal_form(w: BraidWord) -> RawNF:
     _check_nf_size(w.strands, len(w))
-    ident = _t_identity(w.strands)
-    return _product(w.strands, [(_t_append(ident, l.index), l.sign) for l in w.letters])
+    return _product(w.strands, _simple_steps(w))
 
 
 def normal_form(w: BraidWord) -> NormalForm:

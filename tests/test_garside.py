@@ -9,6 +9,9 @@ The independent oracles used here:
     rational t, and as Laurent matrices in a property test;
   * rewrite invariance: random relation moves and free insertions preserve the
     element by construction, so the normal form must not change;
+  * the letter-at-a-time kernel (one step per letter, every Δ moved left one
+    pair per _renorm call), kept here as the reference for simple-step input
+    and for sending each Δ straight to the front;
   * hypothesis property tests (derandomized, so every run draws the same
     examples): group operations against word operations, and conjugacy and
     root witnesses against is_equal.
@@ -288,6 +291,121 @@ def test_renorm_matches_rescan():
 
 def test_renorm_cache_is_bounded():
     assert isinstance(garside._renorm.cache_info().maxsize, int)
+    # in pairs and in strands: larger pairs are left-weighted uncached
+    n = garside._RENORM_CACHE_STRANDS
+    garside._renorm.cache_clear()
+    normal_form(random_word(random.Random(3), n + 1, 200))
+    assert garside._renorm.cache_info().currsize == 0
+    normal_form(random_word(random.Random(3), n, 200))
+    assert garside._renorm.cache_info().currsize > 0
+
+
+def letterwise_raw_normal_form(w: BraidWord):
+    """
+    The reference for `garside._raw_normal_form`: one step per letter, each
+    σ_i^{-1} written Δ^{-1} · (Δσ_i^{-1}), and a left-normalizing sweep that
+    moves every Δ left one pair per _renorm call, collecting the Δ's at the
+    front only at the end.
+    """
+    n = w.strands
+    ident, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    renorm = garside._renorm.__wrapped__
+    factors = []
+    for letter in w:
+        i = letter.index
+        s = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
+        factors.append(s if letter.sign > 0 else garside._t_then(w0, garside._t_inv(s)))
+    delta = 0
+    for j in range(len(factors) - 1, -1, -1):
+        if delta % 2:
+            factors[j] = garside._t_tau(factors[j])
+        if w.letters[j].sign < 0:
+            delta -= 1
+    factors = [f for f in factors if f != ident]
+    i = 0
+    while i < len(factors) - 1:
+        a2, b2 = renorm(factors[i], factors[i + 1])
+        if (a2, b2) == (factors[i], factors[i + 1]):
+            i += 1
+            continue
+        factors[i] = a2
+        if b2 == ident:
+            del factors[i + 1]
+        else:
+            factors[i + 1] = b2
+        i = max(i - 1, 0)
+    front = 0
+    while front < len(factors) and factors[front] == w0:
+        front += 1
+    return delta + front, tuple(factors[front:])
+
+
+def biased_word(rng, n, length, positive_share):
+    return word(
+        n,
+        ((1 if rng.random() < positive_share else -1) * rng.randint(1, n - 1) for _ in range(length)),
+    )
+
+
+def test_grouped_kernel_matches_letterwise():
+    words = [identity_word(n) for n in (1, 2, 3, 16)]
+    for n in range(2, 8):
+        delta = half_twist(n)
+        words += [power(delta, k) for k in (1, 2, 3, -1, -2, -3)]
+        words += [concat(concat(power(delta, -2), random_word(random.Random(n), n, 9)), power(delta, 3))]
+        for i in range(1, n):
+            words += [word(n, [i, i]), word(n, [-i, -i]), word(n, [i, i, -i, i, i, i])]
+    words += [word(2, ints) for ints in ([1] * 5, [-1] * 5, [1, -1, -1, 1, 1, 1], [-1, 1] * 3)]
+    rng = random.Random(47)
+    for k in range(3000):
+        n = rng.randint(2, 16)
+        words.append(biased_word(rng, n, rng.randint(0, 30), (k % 11) / 10))
+    for w in words:
+        assert garside._raw_normal_form(w) == letterwise_raw_normal_form(w), w
+    for n in range(2, 8):
+        for k in (1, 2, 3):
+            assert garside._raw_normal_form(power(half_twist(n), k)) == (k, ())
+            assert garside._raw_normal_form(power(half_twist(n), -k)) == (-k, ())
+
+
+def test_simple_steps_are_the_maximal_runs_of_the_word():
+    # the steps cut the word into runs, letter for letter; each run equals its
+    # step by the positive-word oracle (a run of inverses σ_{i_1}^{-1} ...
+    # σ_{i_k}^{-1} is the inverse of σ_{i_k} ... σ_{i_1}), and the next letter
+    # of the same sign would make the run a non-reduced word
+    def crossings(n, ints):
+        p = underlying_permutation(word(n, ints)).images
+        return sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+
+    rng = random.Random(53)
+    for k in range(400):
+        n = rng.randint(2, 5)
+        letters = list(biased_word(rng, n, rng.randint(0, 30), (k % 11) / 10).signed_ints())
+        at = 0
+        for s, sign in garside._simple_steps(word(n, letters)):
+            step_word = garside._permutation_braid_word(s)
+            run = letters[at : at + len(step_word)]
+            at += len(run)
+            if sign < 0:
+                run = [-v for v in reversed(run)]
+            assert step_word and tuple(run) in positive_class(word(n, step_word))
+            if at < len(letters) and letters[at] * sign > 0:
+                longer = run + [letters[at]] if sign > 0 else [-letters[at]] + run
+                assert crossings(n, longer) < len(longer)
+        assert at == len(letters)
+
+
+def test_kernel_renorm_calls():
+    # a 1000-letter word in B_16: 50 127 _renorm calls letter by letter with
+    # every Δ moved left one pair per call; 8 918 from simple steps with each
+    # Δ sent to the front at once
+    rng = random.Random(5)
+    w = word(16, [rng.choice((-1, 1)) * rng.randint(1, 15) for _ in range(1000)])
+    garside._renorm.cache_clear()
+    nf = normal_form(w)
+    info = garside._renorm.cache_info()
+    assert (nf.delta_power, len(nf.factors)) == (-43, 89)
+    assert info.hits + info.misses <= 15_000
 
 
 def test_normal_form_rewrite_invariance():

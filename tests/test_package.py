@@ -1,7 +1,7 @@
 """
-The package namespace: `import braidforge` resolves the names of the
-numpy-backed cover layer and check suite on first access, and the public
-names stay those that eager imports of every submodule gave.
+The package namespace: `import braidforge` imports every submodule, the
+cover layer and the check suite included, and re-exports their public names;
+these are the names `from braidforge import *` gives.
 """
 
 import braidforge

@@ -245,20 +245,17 @@ def _simple_steps(w: BraidWord) -> list[Step]:
     i+1 of t are an ascent.  Both are one swap in one list: the positions of
     the values of s, or t itself.  So Δ^p written out comes back as |p| steps.
     """
-    steps: list[Step] = []
+    runs: list[tuple[list[int], int]] = []
     sign = 0
     run: list[int] = []
     for letter in w.letters:
         i = letter.index
         if letter.sign != sign or run[i - 1] > run[i]:
-            if sign:
-                steps.append((_t_inv(run) if sign > 0 else tuple(run), sign))
             sign = letter.sign
             run = list(range(1, w.strands + 1))
+            runs.append((run, sign))
         run[i - 1], run[i] = run[i], run[i - 1]
-    if sign:
-        steps.append((_t_inv(run) if sign > 0 else tuple(run), sign))
-    return steps
+    return [(_t_inv(run) if sign > 0 else tuple(run), sign) for run, sign in runs]
 
 
 # --- normal form -------------------------------------------------------------

@@ -28,8 +28,9 @@ on the generators before returning it.
 Everything is exact: an integer matrix is a list of rows, each a list of
 Python integers, and a Burau matrix is a Laurent polynomial with such
 matrices as coefficients.  A matrix of rank (n-1)(k-1) above MAX_H1_RANK is
-refused before it is allocated, and so is a lift of more than
-MAX_WORD_LETTERS twists.
+refused before it is allocated, and so are a lift of more than
+MAX_WORD_LETTERS twists and a Burau matrix of more than MAX_BURAU_ENTRIES
+entries.
 Homology-level equality of twist words is a necessary condition for equality
 in the mapping class group, never claimed sufficient.
 """
@@ -66,6 +67,11 @@ __all__ = [
 # The largest H_1 rank d = (n-1)(k-1) of a matrix built here: a d x d list
 # of small integers takes 8·d² bytes, 32 MB at the cap.
 MAX_H1_RANK = 2000
+
+# The most entries, (n-1)² per power of t, of a reduced Burau matrix: as many
+# as one H_1 matrix at MAX_H1_RANK.  A word of L letters has up to L + 1
+# powers of t, so this bounds L at n = 1000 but not at n = 100.
+MAX_BURAU_ENTRIES = MAX_H1_RANK**2
 
 
 # --- cover invariants ----------------------------------------------------------
@@ -399,7 +405,9 @@ def burau_reduced(b: BraidWord) -> LaurentMatrix:
     transvections.  Right-multiplying by it replaces column i by -t^{±1}
     times itself and adds monomial multiples of the old column i to columns
     i-1 and i+1; the other columns do not change.  The coefficients are kept
-    as lists of columns and transposed once at the end.
+    as lists of columns and transposed once at the end.  Raises ValueError
+    when a new power of t would make (n-1)² times the powers more than
+    MAX_BURAU_ENTRIES, before allocating its coefficient.
     """
     if b.strands < 2:
         raise ValueError("reduced Burau needs n >= 2")
@@ -414,6 +422,11 @@ def burau_reduced(b: BraidWord) -> LaurentMatrix:
             if 0 <= r + offset < d:
                 for e, col in column.items():
                     if e + shift not in cols:
+                        if d * d * (len(cols) + 1) > MAX_BURAU_ENTRIES:
+                            raise ValueError(
+                                f"a reduced Burau matrix of rank {d} with {len(cols) + 1} "
+                                f"powers of t is more than {MAX_BURAU_ENTRIES} entries"
+                            )
                         cols[e + shift] = [[0] * d for _ in range(d)]
                     cs = cols[e + shift]
                     cs[r + offset] = [x + v * y for x, y in zip(cs[r + offset], col)]

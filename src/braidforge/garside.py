@@ -11,9 +11,12 @@ inf = p and sup = p + ℓ are the usual Garside invariants.
 
 Internally an element is the raw pair (p, factors) of image tuples, and one
 kernel, `_normalize`, left-normalizes Δ^p times any list of permutation
-braids in a single sweep; the pair becomes a `NormalForm` only where a public
-function returns.  A word enters the kernel as simple steps, one per maximal
-run of letters of one sign that is a permutation braid (`_simple_steps`).
+braids, appending them one at a time; the pair becomes a `NormalForm` only
+where a public function returns.  A word is first reduced as a heap of pieces
+(`_heap_letters`: free cancellation up to far commutation, read out level by
+level so that letters of one sign stay together), then enters the kernel as
+simple steps, one per maximal run of letters of one sign that is a
+permutation braid (`_simple_steps`).
 
 Conjugacy is decided by reducing both elements into their super summit sets
 (iterated cycling and decycling) and closing one set under conjugation by
@@ -25,11 +28,14 @@ A conjugator is a list of simple steps, and the witness is normalized once,
 then verified.  The search carries an explicit node budget; exhausting it
 raises BudgetExceededError rather than guessing.
 
-Normal forms are not confined to desk scale: left-weighting a pair costs
-O(n) plus O(1) per letter it moves (see `_renorm`), and a factor that becomes
-Δ goes to the front in one step, applying τ to the factors before it.  The
-conjugacy search is: it is written for n up to about 6 or 7 and canonical
-lengths in the tens, since each node tries all n! - 1 simple conjugators.
+Normal forms are not confined to desk scale.  Reducing a word is linear in
+its length.  Left-weighting a pair costs O(n) plus O(1) per letter it moves
+(see `_renorm`); each appended factor costs one right-to-left pass that stops
+at the first pair where nothing moves, so a factor already left-weighted
+after the last one costs one pair; and a factor that becomes Δ goes to the
+front in one step, applying τ to the factors before it.  The conjugacy
+search is: it is written for n up to about 6 or 7 and canonical lengths in
+the tens, since each node tries all n! - 1 simple conjugators.
 Reducible-braid structure (see `cabling`) is always caller-supplied, never
 detected here.
 """
@@ -97,10 +103,13 @@ class BudgetExceededError(RuntimeError):
 # --- permutation-tuple helpers (hot path works on raw 1-based image tuples) --
 
 
+# built once per n: words.MAX_STRANDS bounds both caches
+@lru_cache(maxsize=None)
 def _t_identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
 def _t_w0(n: int) -> tuple[int, ...]:
     return tuple(range(n, 0, -1))
 
@@ -180,38 +189,51 @@ RawNF = tuple[int, tuple[tuple[int, ...], ...]]
 def _normalize(n: int, delta: int, factors: list[tuple[int, ...]]) -> RawNF:
     """
     Left-normalize Δ^delta · f_1 ... f_m for permutation braids f_i, any of
-    which may be trivial or Δ.  One sweep suffices: after each rewrite it
-    steps back one pair, so every pair left of the cursor stays left-weighted.
-    A left factor that becomes Δ goes to the front at once, by
-    x_1 ... x_{i-1} Δ = Δ τ(x_1) ... τ(x_{i-1}); τ keeps those pairs
-    left-weighted, so the sweep steps back one pair as after any rewrite.
+    which may be trivial or Δ.  The factors are appended one at a time to a
+    normal form, each followed by one right-to-left pass (Thurston's
+    algorithm, ch. 9 of Epstein et al., *Word Processing in Groups*, 1992):
+    the pair at the cursor is left-weighted, its right factor is final and
+    its left factor is carried on to the pair before it.  By the domino rule
+    the pairs right of the cursor stay left-weighted, so the pass stops at
+    the first pair where nothing moves.  A carried factor that becomes Δ goes
+    to the front at once, by x_1 ... x_{i-1} Δ = Δ τ(x_1) ... τ(x_{i-1}),
+    which also ends the pass: τ keeps the pairs before it left-weighted, and
+    by the domino rule so is τ(x_{i-1}) before the next factor, since Δ
+    before any factor is.  Appending a factor costs one `_renorm` call when
+    it is left-weighted after the last one.
     """
     ident = _t_identity(n)
     w0 = _t_w0(n)
     renorm = _renorm if n <= _RENORM_CACHE_STRANDS else _renorm.__wrapped__
-    factors = [f for f in factors if f != ident]
-    i = 0
-    while i < len(factors) - 1:
-        a, b = factors[i], factors[i + 1]
-        a2, b2 = renorm(a, b)
-        if a2 == w0:
-            delta += 1
-            for j in range(i):
-                factors[j] = _t_tau(factors[j])
-            rewritten = [b2]
-        elif b2 == b:  # nothing moved
-            i += 1
+    out: list[tuple[int, ...]] = []
+    for f in factors:
+        if f == ident:
             continue
-        else:
-            rewritten = [a2, b2]
-        if b2 == ident:
-            rewritten.pop()
-        factors[i:i + 2] = rewritten
-        i = max(i - 1, 0)
-    # a single factor is never the left of a pair
-    if factors == [w0]:
-        return delta + 1, ()
-    return delta, tuple(factors)
+        if f == w0:
+            delta += 1
+            out = [_t_tau(x) for x in out]
+            continue
+        out.append(f)
+        i = len(out) - 2
+        while i >= 0:
+            b = out[i + 1]
+            a2, b2 = renorm(out[i], b)
+            if b2 == b:  # nothing moved, so nothing moves further left
+                break
+            if a2 == w0:
+                delta += 1
+                for j in range(i):
+                    out[j] = _t_tau(out[j])
+                out[i:i + 2] = [b2] if b2 != ident else []
+                break
+            out[i] = a2
+            # only a factor just appended can be taken up whole
+            if b2 == ident:
+                del out[i + 1]
+            else:
+                out[i + 1] = b2
+            i -= 1
+    return delta, tuple(out)
 
 
 # a step (s, ±1) is a permutation braid s or its inverse
@@ -236,23 +258,76 @@ def _product(n: int, steps: list[Step]) -> RawNF:
     return _normalize(n, delta, factors)
 
 
-def _simple_steps(w: BraidWord) -> list[Step]:
+def _heap_letters(w: BraidWord) -> list[int]:
     """
-    w cut into maximal runs of one sign that are permutation braids, one step
-    per run.  A positive run s takes σ_i while the values i and i+1 are not
-    yet inverted in s; an inverse run σ_{i_1}^{-1} ... σ_{i_k}^{-1} is t^{-1}
-    for t = σ_{i_k} ... σ_{i_1}, which takes σ_i while the positions i and
-    i+1 of t are an ascent.  Both are one swap in one list: the positions of
-    the values of s, or t itself.  So Δ^p written out comes back as |p| steps.
+    The letters of w as signed integers, reduced as a heap of pieces
+    (Cartier-Foata; Viennot, *Heaps of pieces I*, 1986).  σ_i^{±1} covers the
+    strand positions i and i+1 and falls onto the highest piece there; it
+    cancels that piece instead when the piece is its inverse and is on top at
+    both positions.  The pieces are read out level by level: pieces of one
+    level cover disjoint positions and commute, so each level is read by
+    sign, the sign that ended the level before first, and runs of one sign
+    carry on across levels.  Only far commutation and free cancellation are
+    used, so the element does not change and the word never grows.  One stack
+    per position: linear time.
+    """
+    stacks: list[list[list[int]]] = [[] for _ in range(w.strands)]
+    pieces = []
+    for letter in w.letters:
+        i = letter.index
+        v = i if letter.sign > 0 else -i
+        left, right = stacks[i - 1], stacks[i]
+        if left and right:
+            top = left[-1]
+            if top is right[-1] and top[0] == -v:
+                top[0] = 0
+                left.pop()
+                right.pop()
+                continue
+            level = max(top[1], right[-1][1]) + 1
+        elif left:
+            level = left[-1][1] + 1
+        elif right:
+            level = right[-1][1] + 1
+        else:
+            level = 0
+        piece = [v, level]
+        left.append(piece)
+        right.append(piece)
+        pieces.append(piece)
+    levels: list[list[int]] = []
+    for v, level in pieces:
+        if v:
+            while len(levels) <= level:
+                levels.append([])
+            levels[level].append(v)
+    out: list[int] = []
+    positive = True
+    for row in levels:
+        out += [v for v in row if (v > 0) == positive]
+        out += [v for v in row if (v > 0) != positive]
+        positive = out[-1] > 0
+    return out
+
+
+def _simple_steps(n: int, letters: list[int]) -> list[Step]:
+    """
+    The signed letters of a word on n strands cut into maximal runs of one
+    sign that are permutation braids, one step per run.  A positive run s
+    takes σ_i while the values i and i+1 are not yet inverted in s; an
+    inverse run σ_{i_1}^{-1} ... σ_{i_k}^{-1} is t^{-1} for
+    t = σ_{i_k} ... σ_{i_1}, which takes σ_i while the positions i and i+1 of
+    t are an ascent.  Both are one swap in one list: the positions of the
+    values of s, or t itself.  So Δ^p written out comes back as |p| steps.
     """
     runs: list[tuple[list[int], int]] = []
     sign = 0
     run: list[int] = []
-    for letter in w.letters:
-        i = letter.index
-        if letter.sign != sign or run[i - 1] > run[i]:
-            sign = letter.sign
-            run = list(range(1, w.strands + 1))
+    for v in letters:
+        i, v_sign = (v, 1) if v > 0 else (-v, -1)
+        if v_sign != sign or run[i - 1] > run[i]:
+            sign = v_sign
+            run = list(range(1, n + 1))
             runs.append((run, sign))
         run[i - 1], run[i] = run[i], run[i - 1]
     return [(_t_inv(run) if sign > 0 else tuple(run), sign) for run, sign in runs]
@@ -312,7 +387,7 @@ def _check_nf_size(n: int, letters: int) -> None:
 
 def _raw_normal_form(w: BraidWord) -> RawNF:
     _check_nf_size(w.strands, len(w))
-    return _product(w.strands, _simple_steps(w))
+    return _product(w.strands, _simple_steps(w.strands, _heap_letters(w)))
 
 
 def normal_form(w: BraidWord) -> NormalForm:

@@ -39,6 +39,34 @@ def test_nf(capsys):
     assert deep["witnesses"] == flat["witnesses"]
 
 
+def test_nf_of_a_word_that_cancels(capsys):
+    # σ1 σ3 σ1^-1 σ3^-1 cancels by far commutation: δ⁰ with no factors
+    code = run(["nf", "-n", "6", "--json", "--", "1 3 -1 -3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["verdict"]["normal_form"] == {"n": 6, "delta": 0, "factors": []}
+
+
+def test_nf_size_cap_counts_the_input_letters(capsys):
+    # the cap is checked on the word as given, before it is reduced: these
+    # words cancel to the empty word and are still refused, with the message
+    # of any other word of that length
+    letters = 2 * (MAX_NF_ENTRIES // 2000 + 1)
+    message = (
+        f"error: a word of {letters} letters on 1000 strands is more than "
+        f"{MAX_NF_ENTRIES} normal-form entries\n"
+    )
+    for text in ("(1 -1)^%d" % (letters // 2), "1^%d 1^-%d" % (letters // 2, letters // 2)):
+        for argv in (["nf", "-n", "1000", text], ["eq", "-n", "1000", text, ""]):
+            capsys.readouterr()
+            assert run(argv) == 1, argv
+            assert capsys.readouterr().err == message, argv
+    # the same length of letters that do not cancel gets the same message
+    capsys.readouterr()
+    assert run(["nf", "-n", "1000", "1^%d" % letters]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_eq_band_identity(capsys):
     code, report = run_json(capsys, ["eq", "-n", "4", "2 3 -2 1 2 -1", "2 1 3 2 -1 -1"])
     assert code == 0 and report["verdict"]["equal"] is True

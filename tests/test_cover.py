@@ -324,6 +324,21 @@ def test_burau_satisfies_relations():
                 assert burau_reduced(word(n, [i, j])) == burau_reduced(word(n, [j, i]))
 
 
+def test_burau_size_cap(monkeypatch):
+    # a generator of B_1000 has two powers of t, under the cap, so
+    # base_change and burau_at_companion can reach every rank MAX_H1_RANK allows
+    assert cover.MAX_BURAU_ENTRIES == cover.MAX_H1_RANK**2
+    assert burau_reduced(word(1000, [500])).entry(499, 499) == {1: -1}
+    # in B_5, σ_1^k has k + 1 powers of t of 4 x 4 entries each
+    monkeypatch.setattr(cover, "MAX_BURAU_ENTRIES", 16 * 3)
+    assert burau_reduced(word(5, [1, 1])).entry(0, 0) == {2: 1}
+    for letters in ([1, 1, 1], [-1, -1, -1], [2, 1, 1, 1, 2]):
+        with pytest.raises(ValueError, match="more than 48 entries"):
+            burau_reduced(word(5, letters))
+    with pytest.raises(ValueError, match="more than 48 entries"):
+        cover.burau_at_companion(word(5, [1, 1, 1]), 2)
+
+
 def test_burau_determinant_is_unit():
     rng = random.Random(17)
     for _ in range(25):

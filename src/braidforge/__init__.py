@@ -13,7 +13,6 @@ The package needs nothing outside the standard library.
 """
 
 from .words import (
-    ArtinLetter,
     BraidWord,
     Permutation,
     WordSyntaxError,

@@ -29,6 +29,7 @@ from .words import (
     Permutation,
     concat,
     conjugate,
+    format_word,
     free_reduce,
     identity_word,
     invert_word,
@@ -89,7 +90,7 @@ def _check_letter_count(count: int) -> None:
 
 def _embed(w: BraidWord, n: int, offset: int) -> BraidWord:
     """w placed on the strands offset+1 .. offset+w.strands of B_n."""
-    return word(n, (l.to_int() + (offset if l.sign > 0 else -offset) for l in w.letters))
+    return word(n, (v + offset if v > 0 else v - offset for v in w.letters))
 
 
 def _block_start(arrangement: tuple[int, ...], position: int) -> int:
@@ -113,25 +114,19 @@ def _cable_word(
     # a crossing swaps its two widths and costs their product in letters
     arr = list(arrangement)
     count = 0
-    for letter in w.letters:
-        j = letter.index
+    for v in w.letters:
+        j = abs(v)
         count += arr[j - 1] * arr[j]
         arr[j - 1], arr[j] = arr[j], arr[j - 1]
     _check_letter_count(count)
     arr = list(arrangement)
     letters: list[int] = []
-    for letter in w.letters:
-        j = letter.index
+    for v in w.letters:
+        j = abs(v)
         p, q = arr[j - 1], arr[j]
         offset = _block_start(tuple(arr), j) - 1
-        block = (
-            block_transposition(p, q, 1)
-            if letter.sign > 0
-            else block_transposition(q, p, -1)
-        )
-        letters.extend(
-            v + offset if v > 0 else v - offset for v in block.signed_ints()
-        )
+        block = block_transposition(p, q, 1) if v > 0 else block_transposition(q, p, -1)
+        letters.extend(g + offset if g > 0 else g - offset for g in block.letters)
         arr[j - 1], arr[j] = arr[j], arr[j - 1]
     return word(n, letters), tuple(arr)
 
@@ -294,7 +289,7 @@ def _cabled_band_bands(
         offset = _block_start(arr, j) - 1
         return [
             Band(identity_word(n), g + offset)
-            for g in block_transposition(p, q, 1).signed_ints()
+            for g in block_transposition(p, q, 1).letters
         ]
     # positions in arr of the two tubes this band transposes: the labels that
     # the conjugator carries to positions j and j+1
@@ -320,9 +315,9 @@ def _cabled_band_bands(
         swapped_head, _ = _cable_word(head, _swap_positions(arr, x, y))
         if swapped_head != cabled_head:
             junk = free_reduce(concat(cabled_head, invert_word(swapped_head)))
-            if any(letter.sign < 0 for letter in junk.letters):
+            if any(g < 0 for g in junk.letters):
                 return None
-            bands.extend(Band(identity_word(n), letter.index) for letter in junk)
+            bands.extend(Band(identity_word(n), g) for g in junk.letters)
     return bands
 
 
@@ -331,7 +326,7 @@ def _reduced_conjugator(conjugator: BraidWord, gen_index: int) -> BraidWord:
     which commute with the core generator and only lengthen the cable."""
     v = free_reduce(conjugator)
     letters = list(v.letters)
-    while letters and letters[-1].index == gen_index:
+    while letters and abs(letters[-1]) == gen_index:
         letters.pop()
     return BraidWord(v.strands, tuple(letters))
 
@@ -416,8 +411,6 @@ def _permute_arrangement(
 
 
 def regular_form_to_json(rf: RegularForm) -> dict:
-    from .words import format_word
-
     interiors = [
         {"orbit": i, "word": format_word(interior)}
         for i, interior in enumerate(rf.interiors)

@@ -253,7 +253,7 @@ def check_garside_soundness(seed: int) -> tuple[bool, str]:
     base_words = 50
     for _ in range(base_words):
         n = rng.randint(2, 6)
-        ints = list(_random_word(rng, n, rng.randint(1, 40)).signed_ints())
+        ints = list(_random_word(rng, n, rng.randint(1, 40)).letters)
         nf = garside.normal_form(word(n, ints))
         dd = power(garside.half_twist(n), 2)
         w = word(n, ints)

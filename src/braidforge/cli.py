@@ -308,33 +308,37 @@ def run(argv: list[str]) -> int:
             return 0
         else:  # pragma: no cover - argparse requires a command
             raise SystemExit(1)
+        # inside the try: JSON nested too deeply to parse ends in a
+        # RecursionError, and so can JSON parsed just short of that depth
+        # when the report echoes it
+        _emit(report, as_json)
     except BudgetExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    _emit(report, as_json)
     return 0
 
 
 def _run_qp(args, started: float) -> dict:
     if args.qp_command == "expand":
-        cert = qp.certificate_from_json(json.loads(args.cert))
+        data = json.loads(args.cert)
+        cert = qp.certificate_from_json(data)
         return _report(
             "qp expand",
-            {"cert": json.loads(args.cert)},
+            {"cert": data},
             {"word": format_word(qp.expand(cert)), "bands": len(cert)},
             {},
             started,
         )
     if args.qp_command == "verify":
-        cert = qp.certificate_from_json(json.loads(args.cert))
+        data = json.loads(args.cert)
+        cert = qp.certificate_from_json(data)
         w = parse_word(args.word, cert.strands)
         return _report(
             "qp verify",
-            {"cert": json.loads(args.cert), "word": args.word},
+            {"cert": data, "word": args.word},
             {"verified": qp.verify(cert, w)},
             {},
             started,
@@ -367,20 +371,22 @@ def _run_qp(args, started: float) -> dict:
 
 def _run_cable(args, started: float) -> dict:
     if args.cable_command == "assemble":
-        rf = cabling.regular_form_from_json(json.loads(args.rf))
+        data = json.loads(args.rf)
+        rf = cabling.regular_form_from_json(data)
         return _report(
             "cable assemble",
-            {"rf": json.loads(args.rf)},
+            {"rf": data},
             {"word": format_word(cabling.assemble(rf)), "strands": rf.composite_strands},
             {},
             started,
         )
     if args.cable_command == "normalize":
-        tubular, assignment = cabling.assignment_from_json(json.loads(args.assignment))
+        data = json.loads(args.assignment)
+        tubular, assignment = cabling.assignment_from_json(data)
         regular, conjugator = cabling.normalize_interiors(tubular, assignment)
         return _report(
             "cable normalize",
-            {"assignment": json.loads(args.assignment)},
+            {"assignment": data},
             {"regular_form": cabling.regular_form_to_json(regular)},
             {"conjugator": format_word(conjugator)},
             started,

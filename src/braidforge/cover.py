@@ -142,21 +142,6 @@ class TwistWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def inverse(self) -> TwistWord:
-        return TwistWord(
-            self.n,
-            self.k,
-            tuple(
-                TwistLetter(letter.i, letter.l, -letter.sign)
-                for letter in reversed(self.letters)
-            ),
-        )
-
-    def __mul__(self, other: TwistWord) -> TwistWord:
-        if (self.n, self.k) != (other.n, other.k):
-            raise ValueError("twist words live on different covers")
-        return TwistWord(self.n, self.k, self.letters + other.letters)
-
 
 def lift_word(b: BraidWord, k: int) -> TwistWord:
     """
@@ -170,13 +155,11 @@ def lift_word(b: BraidWord, k: int) -> TwistWord:
     if count > MAX_WORD_LETTERS:
         raise ValueError(f"lift would have {count} twists, more than {MAX_WORD_LETTERS}")
     letters: list[TwistLetter] = []
-    for letter in b.letters:
-        if letter.sign > 0:
-            letters.extend(TwistLetter(letter.index, l, 1) for l in range(1, k))
+    for v in b.letters:
+        if v > 0:
+            letters.extend(TwistLetter(v, l, 1) for l in range(1, k))
         else:
-            letters.extend(
-                TwistLetter(letter.index, l, -1) for l in range(k - 1, 0, -1)
-            )
+            letters.extend(TwistLetter(-v, l, -1) for l in range(k - 1, 0, -1))
     return TwistWord(b.strands, k, tuple(letters))
 
 
@@ -344,10 +327,6 @@ class LaurentMatrix:
     size: int
     coeffs: dict[int, list[list[int]]]
 
-    @staticmethod
-    def identity(size: int) -> LaurentMatrix:
-        return LaurentMatrix(size, {0: _identity(size)})
-
     def _trimmed(self) -> dict[int, list[list[int]]]:
         return {e: m for e, m in self.coeffs.items() if any(map(any, m))}
 
@@ -413,12 +392,12 @@ def burau_reduced(b: BraidWord) -> LaurentMatrix:
         raise ValueError("reduced Burau needs n >= 2")
     d = b.strands - 1
     cols = {0: _identity(d)}
-    for letter in b.letters:
-        r = letter.index - 1
+    for v in b.letters:
+        r = abs(v) - 1
         column = {e: cs[r] for e, cs in cols.items() if any(cs[r])}
         for e in column:
             cols[e][r] = [0] * d
-        for offset, shift, v in _BURAU_ROW[letter.sign]:
+        for offset, shift, c in _BURAU_ROW[1 if v > 0 else -1]:
             if 0 <= r + offset < d:
                 for e, col in column.items():
                     if e + shift not in cols:
@@ -429,7 +408,7 @@ def burau_reduced(b: BraidWord) -> LaurentMatrix:
                             )
                         cols[e + shift] = [[0] * d for _ in range(d)]
                     cs = cols[e + shift]
-                    cs[r + offset] = [x + v * y for x, y in zip(cs[r + offset], col)]
+                    cs[r + offset] = [x + c * y for x, y in zip(cs[r + offset], col)]
     return LaurentMatrix(d, {e: _transpose(cs) for e, cs in cols.items() if any(map(any, cs))})
 
 

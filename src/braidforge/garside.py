@@ -260,7 +260,7 @@ def _product(n: int, steps: list[Step]) -> RawNF:
 
 def _heap_letters(w: BraidWord) -> list[int]:
     """
-    The letters of w as signed integers, reduced as a heap of pieces
+    The letters of w reduced as a heap of pieces
     (Cartier-Foata; Viennot, *Heaps of pieces I*, 1986).  σ_i^{±1} covers the
     strand positions i and i+1 and falls onto the highest piece there; it
     cancels that piece instead when the piece is its inverse and is on top at
@@ -273,9 +273,8 @@ def _heap_letters(w: BraidWord) -> list[int]:
     """
     stacks: list[list[list[int]]] = [[] for _ in range(w.strands)]
     pieces = []
-    for letter in w.letters:
-        i = letter.index
-        v = i if letter.sign > 0 else -i
+    for v in w.letters:
+        i = abs(v)
         left, right = stacks[i - 1], stacks[i]
         if left and right:
             top = left[-1]
@@ -349,19 +348,12 @@ class NormalForm:
     factors: tuple[Permutation, ...]
 
     @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
-    @property
     def inf(self) -> int:
         return self.delta_power
 
     @property
     def sup(self) -> int:
         return self.delta_power + len(self.factors)
-
-    def is_delta_power(self) -> bool:
-        return not self.factors
 
     def is_central(self) -> bool:
         """Powers of Δ² are central; for n ≥ 3 nothing else is."""
@@ -454,7 +446,7 @@ def nf_to_word(nf: NormalForm) -> BraidWord:
     too_long = f"normal form word would have more than {MAX_WORD_LETTERS} letters"
     if abs(nf.delta_power) * (n * (n - 1) // 2) > MAX_WORD_LETTERS:
         raise ValueError(too_long)
-    letters = list(power(half_twist(n), nf.delta_power).signed_ints()) if nf.delta_power else []
+    letters = list(power(half_twist(n), nf.delta_power).letters) if nf.delta_power else []
     for factor in nf.factors:
         factor_letters = _permutation_braid_word(factor.images)
         if len(letters) + len(factor_letters) > MAX_WORD_LETTERS:

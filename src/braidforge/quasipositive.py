@@ -32,6 +32,7 @@ from .words import (
     concat,
     concat_all,
     exponent_sum,
+    format_word,
     identity_word,
     invert_word,
     parse_word,
@@ -99,10 +100,10 @@ class QPCertificate:
 
 def trivial_certificate(positive: BraidWord) -> QPCertificate:
     """One trivially-conjugated band per letter of an all-positive word."""
-    if any(l.sign != 1 for l in positive.letters):
+    if any(v < 0 for v in positive.letters):
         raise ValueError("trivial certificates need an all-positive word")
     n = positive.strands
-    bands = tuple(Band(identity_word(n), l.index) for l in positive.letters)
+    bands = tuple(Band(identity_word(n), v) for v in positive.letters)
     return QPCertificate(n, bands)
 
 
@@ -222,8 +223,6 @@ def qp_root_periodic(
 
 
 def certificate_to_json(cert: QPCertificate) -> dict:
-    from .words import format_word
-
     return {
         "n": cert.strands,
         "bands": [

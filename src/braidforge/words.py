@@ -18,8 +18,9 @@ The text grammar for words is
 where a nonzero integer i stands for σ_i and -i for σ_i^{-1}, and items are
 separated by whitespace.  Example: "(1 2)^6 1^-13".  Powers are expanded, and
 text that would expand to more than MAX_WORD_LETTERS letters is rejected
-before the letters are allocated.  A word has at most MAX_STRANDS strands,
-checked before anything of size n is allocated.
+before the letters are allocated.  A BraidWord holds its letters as these
+signed integers, and has at most MAX_STRANDS strands, checked before anything
+of size n is allocated.
 """
 
 from __future__ import annotations
@@ -45,62 +46,39 @@ class WordSyntaxError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class ArtinLetter:
-    """A single generator σ_index (sign +1) or its inverse (sign -1)."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"generator index must be >= 1, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    @staticmethod
-    def from_int(value: int) -> ArtinLetter:
-        """Decode a nonzero signed integer: i ↦ σ_i, -i ↦ σ_i^{-1}."""
-        if value == 0:
-            raise ValueError("0 does not denote a generator")
-        return ArtinLetter(abs(value), 1 if value > 0 else -1)
-
-    def to_int(self) -> int:
-        return self.index * self.sign
-
-    def inverse(self) -> ArtinLetter:
-        return ArtinLetter(self.index, -self.sign)
-
-
-@dataclass(frozen=True, slots=True)
 class BraidWord:
     """
     A word in the braid group B_n: a strand count together with a finite
-    sequence of letters.  The empty sequence is the identity.  Instances are
-    immutable and hashable; equality is letter-for-letter (use
+    sequence of letters, each the signed integer of the text grammar (i for
+    σ_i, -i for σ_i^{-1}).  The empty sequence is the identity.  Instances
+    are immutable and hashable; equality is letter-for-letter (use
     `garside.is_equal` for equality in the group).
     """
 
     strands: int
-    letters: tuple[ArtinLetter, ...] = ()
+    letters: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.strands <= MAX_STRANDS:
             raise ValueError(f"strand count must be in [1, {MAX_STRANDS}], got {self.strands}")
-        for letter in self.letters:
-            if letter.index > self.strands - 1:
-                raise ValueError(
-                    f"letter index {letter.index} out of range [1, {self.strands - 1}]"
-                )
+        top = self.strands - 1
+        for v in self.letters:
+            if type(v) is not int:
+                raise ValueError(f"a letter must be a nonzero int, got {v!r}")
+            if not 0 < abs(v) <= top:
+                if v == 0:
+                    raise ValueError("0 does not denote a generator")
+                raise ValueError(f"letter index {abs(v)} out of range [1, {top}]")
 
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self) -> Iterator[ArtinLetter]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
     def signed_ints(self) -> tuple[int, ...]:
-        """The word as signed integers, one per letter."""
-        return tuple(letter.to_int() for letter in self.letters)
+        """The word as signed integers, one per letter: its letters."""
+        return self.letters
 
     def __repr__(self):
         return f"BraidWord({self.strands}, {format_word(self)!r})"
@@ -108,7 +86,7 @@ class BraidWord:
 
 def word(n: int, ints: Iterable[int] = ()) -> BraidWord:
     """Build a word from signed integers: word(3, [1, -2]) is σ_1 σ_2^{-1}."""
-    return BraidWord(n, tuple(ArtinLetter.from_int(v) for v in ints))
+    return BraidWord(n, tuple(ints))
 
 
 def identity_word(n: int) -> BraidWord:
@@ -130,24 +108,6 @@ class Permutation:
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
 
-    @staticmethod
-    def identity(n: int) -> Permutation:
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, i: int) -> Permutation:
-        """The adjacent transposition (i, i+1) in S_n."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"transposition index {i} out of range [1, {n - 1}]")
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
-
-    @staticmethod
-    def reversal(n: int) -> Permutation:
-        """The order-reversing permutation i ↦ n+1-i (image of the half twist)."""
-        return Permutation(tuple(range(n, 0, -1)))
-
     @property
     def size(self) -> int:
         return len(self.images)
@@ -155,21 +115,11 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def then(self, other: Permutation) -> Permutation:
-        """The product self·other: apply self first, then other."""
-        if other.size != self.size:
-            raise ValueError("permutation size mismatch")
-        o = other.images
-        return Permutation(tuple(o[v - 1] for v in self.images))
-
     def inverse(self) -> Permutation:
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images):
             inv[v - 1] = i + 1
         return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, including fixed points; each cycle starts at its
@@ -214,35 +164,36 @@ def concat_all(words: Iterable[BraidWord], n: int | None = None) -> BraidWord:
 
 def invert_word(w: BraidWord) -> BraidWord:
     """The formal inverse: letters reversed and signs flipped."""
-    return BraidWord(w.strands, tuple(l.inverse() for l in reversed(w.letters)))
+    return BraidWord(w.strands, tuple(-v for v in reversed(w.letters)))
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent pairs σ_i^{±1} σ_i^{∓1} until none remain."""
-    stack: list[ArtinLetter] = []
-    for letter in w.letters:
-        if stack and stack[-1].index == letter.index and stack[-1].sign == -letter.sign:
+    stack: list[int] = []
+    for v in w.letters:
+        if stack and stack[-1] == -v:
             stack.pop()
         else:
-            stack.append(letter)
+            stack.append(v)
     return BraidWord(w.strands, tuple(stack))
 
 
 def exponent_sum(w: BraidWord) -> int:
     """The abelianization B_n → Z, sum of letter signs."""
-    return sum(l.sign for l in w.letters)
+    return sum(1 if v > 0 else -1 for v in w.letters)
 
 
 def underlying_permutation(w: BraidWord) -> Permutation:
     """
     The image of w under B_n → S_n, σ_i ↦ (i, i+1): maps each starting
-    position to the ending position of its strand.  A monoid homomorphism for
-    Permutation.then, matching the left-to-right reading of words.
+    position to the ending position of its strand.  A monoid homomorphism
+    for the product that applies the left factor first, matching the
+    left-to-right reading of words.
     """
     # Track position → strand with O(1) swaps, then invert once.
     pos_to_strand = list(range(1, w.strands + 1))
-    for letter in w.letters:
-        i = letter.index
+    for v in w.letters:
+        i = abs(v)
         pos_to_strand[i - 1], pos_to_strand[i] = pos_to_strand[i], pos_to_strand[i - 1]
     return Permutation(tuple(pos_to_strand)).inverse()
 
@@ -356,4 +307,4 @@ def parse_word(text: str, n: int) -> BraidWord:
 def format_word(w: BraidWord) -> str:
     """Canonical text for a word: letters as signed integers, space-separated.
     Round-trips through parse_word letter for letter."""
-    return " ".join(str(v) for v in w.signed_ints())
+    return " ".join(map(str, w.letters))

@@ -94,7 +94,7 @@ def test_block_transposition_permutation_oracle():
         for q in range(1, 4):
             w = block_transposition(p, q, 1)
             assert len(w) == p * q
-            assert all(l.sign == 1 for l in w)
+            assert all(v > 0 for v in w)
             perm = underlying_permutation(w)
             for s in range(1, p + 1):
                 assert perm(s) == q + s
@@ -141,9 +141,9 @@ def test_assemble_exponent_sum_invariant():
         rf = random_regular_form(rng)
         total = sum(exponent_sum(interior) for interior in rf.interiors)
         arr = list(rf.widths)
-        for letter in rf.tubular:
-            j = letter.index
-            total += letter.sign * arr[j - 1] * arr[j]
+        for v in rf.tubular:
+            j = abs(v)
+            total += (1 if v > 0 else -1) * arr[j - 1] * arr[j]
             arr[j - 1], arr[j] = arr[j], arr[j - 1]
         assert exponent_sum(assemble(rf)) == total
 
@@ -171,7 +171,8 @@ def test_assemble_permutation_invariant():
             images2 = list(range(1, n + 1))
             for o in range(rf.widths[orbit[0] - 1]):
                 images2[base + o - 1] = base + p_int(o + 1) - 1
-            expected = expected.then(Permutation(tuple(images2)))
+            # apply expected first, then the interior's permutation
+            expected = Permutation(tuple(images2[v - 1] for v in expected.images))
         assert underlying_permutation(assemble(rf)) == expected
 
 

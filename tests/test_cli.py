@@ -6,6 +6,7 @@ the thin-adapter property (CLI verdicts equal direct library results).
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -256,6 +257,21 @@ def test_parse_error_exit_code(capsys):
         '{"widths": [2, 2], "interiors": [%s]}' % empty,
     ]:
         assert fails_with_one_line(capsys, ["cable", "cert", data]), data
+    # JSON nested past the parser's recursion limit, on every subcommand that
+    # reads JSON, and band generators that are not ints
+    deep = "[" * 2000 + "]" * 2000
+    for argv in [
+        ["qp", "expand", deep],
+        ["qp", "verify", deep, "1"],
+        ["cable", "assemble", deep],
+        ["cable", "normalize", deep],
+        ["cable", "cert", deep],
+    ]:
+        assert fails_with_one_line(capsys, argv), argv[:2]
+    for gen in ["true", "1.5"]:
+        cert = '{"n": 3, "bands": [{"conj": "", "gen": %s}]}' % gen
+        assert fails_with_one_line(capsys, ["qp", "expand", cert]), cert
+        assert fails_with_one_line(capsys, ["qp", "verify", cert, "1"]), cert
     # a word that expands past the letter cap
     assert fails_with_one_line(capsys, ["abel", "-n", "3", "((1^1000 2)^1000)^3"])
     # cabled words past the letter cap: one 600 x 600 crossing, or five of 200 x 200
@@ -437,3 +453,157 @@ def test_braid_side_commands_do_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(EVERY_COMMAND)
+
+
+# --- fuzzing every subcommand ---
+
+# a placeholder that the JSON text of a fuzz case replaces by 2000 nested
+# lists; with the bool and the float it repeats the cases of
+# test_parse_error_exit_code at random places
+DEEP = "\u0000deep"
+ODD_VALUES = [True, False, 1.5, None, "x", "", -1, 0, 7, [], {}, DEEP]
+
+
+def fuzz_word(rng, n, depth=0):
+    """Short word text on n strands: mostly well formed, with small powers,
+    and now and then a stray grammar token, a zero or an index out of range;
+    one in ten is a power of the periodic braid σ_1 ... σ_{n-1}."""
+    if rng.random() < 0.1:
+        return "(%s)^%d" % (" ".join(map(str, range(1, n))), rng.randint(-4, 4))
+    items = []
+    for _ in range(rng.randint(0, 5)):
+        r = rng.random()
+        if r < 0.05:
+            item = rng.choice(["(", ")", "^", "x", "^-", "0", "1.5", str(n)])
+        elif r < 0.15 and depth < 2:
+            item = "(" + fuzz_word(rng, n, depth + 1) + ")"
+        else:
+            item = str(rng.choice([-1, 1]) * rng.randint(1, max(n - 1, 1)))
+        if rng.random() < 0.2:
+            item += "^%d" % rng.randint(-3, 3)
+        items.append(item)
+    return " ".join(items)
+
+
+def fuzz_twists(rng, n, k):
+    items = []
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.1:
+            items.append(rng.choice(["t[1]", "t[a,1]", "x", "t[1,1]^2", "t[0,1]", f"t[1,{k}]"]))
+        else:
+            item = "t[%d,%d]" % (rng.randint(1, max(n - 1, 1)), rng.randint(1, max(k - 1, 1)))
+            items.append(item + rng.choice(["", "", "^-1"]))
+    return " ".join(items)
+
+
+def fuzz_cert(rng, n):
+    """A certificate on n strands; one generator in ten is n, out of range."""
+    top = max(n - 1, 1)
+    return {
+        "n": n,
+        "bands": [
+            {"conj": fuzz_word(rng, n), "gen": rng.randint(1, top) if rng.random() < 0.9 else n}
+            for _ in range(rng.randint(0, 3))
+        ],
+    }
+
+
+def fuzz_json(rng, dest):
+    """Nearly right JSON for the argument dest, as text: a valid shape with
+    small sizes, and a third of the time one value replaced by an odd one."""
+    m = rng.randint(1, 3)
+    widths = [rng.choice([1, 2, 2, 3]) for _ in range(m)]
+    if dest == "cert":
+        value = fuzz_cert(rng, rng.randint(1, 6))
+    elif dest == "rf":
+        value = {
+            "tubular": fuzz_word(rng, m),
+            "widths": widths,
+            "interiors": [
+                {"orbit": rng.randint(-1, m), "word": fuzz_word(rng, 3)}
+                for _ in range(rng.randint(0, 2))
+            ],
+        }
+    elif dest == "assignment":
+        value = {
+            "tubular": fuzz_word(rng, m),
+            "widths": widths,
+            "positions": [fuzz_word(rng, w) for w in widths],
+        }
+    else:
+        value = {
+            "tubular_cert": fuzz_cert(rng, m),
+            "interiors": [fuzz_cert(rng, w) for w in widths[: rng.randint(0, m)]],
+            "widths": widths,
+        }
+    if rng.random() < 0.3:
+        slots = []
+
+        def collect(v):
+            if isinstance(v, (dict, list)):
+                for key, child in list(v.items() if isinstance(v, dict) else enumerate(v)):
+                    slots.append((v, key))
+                    collect(child)
+
+        collect(value)
+        container, key = rng.choice(slots)
+        container[key] = rng.choice(ODD_VALUES)
+    return json.dumps(value).replace(json.dumps(DEEP), "[" * 2000 + "]" * 2000)
+
+
+def subparser(parser, path):
+    for name in path:
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subs.choices[name]
+    return parser
+
+
+def fuzz_argv(rng, path, leaf):
+    n, k = rng.randint(1, 6), rng.randint(1, 5)
+    values = {"n": n, "k": k, "d": rng.randint(-1, 4), "budget": 20, "seed": 0}
+    argv = list(path)
+    positionals = []
+    for action in leaf._actions:
+        if action.dest == "help":
+            continue
+        if not action.option_strings:
+            positionals.append(action.dest)
+        elif action.dest == "json":
+            argv += ["--json"] if rng.random() < 0.5 else []
+        else:
+            argv += [action.option_strings[0], str(values[action.dest])]
+    argv += ["--"] if positionals else []
+    for dest in positionals:
+        if dest.startswith("word"):
+            argv.append(fuzz_word(rng, n))
+        elif dest.startswith("twistword"):
+            argv.append(fuzz_twists(rng, n, k))
+        else:
+            argv.append(fuzz_json(rng, dest))
+    return argv
+
+
+def test_fuzz_every_subcommand(capsys):
+    # seeded random arguments on every leaf of the parser: no exception
+    # escapes, and a library error is exit 1 or 2 with one line on stderr
+    rng = random.Random(2024)
+    parser = build_parser()
+    cases = []
+    for path in sorted(leaf_commands(parser)):
+        leaf = subparser(parser, path)
+        trials = 1 if path == ("verify-paper",) else 25
+        cases += [fuzz_argv(rng, path, leaf) for _ in range(trials)]
+    codes = set()
+    for argv in cases:
+        capsys.readouterr()
+        code = run(argv)
+        out, err = capsys.readouterr()
+        codes.add(code)
+        assert code in (0, 1, 2), argv
+        if code:
+            assert err.count("\n") == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)
+            if "--json" in argv:
+                assert json.loads(out)["schema"] == "braidforge/1"
+    assert {0, 1} <= codes

@@ -112,8 +112,8 @@ def burau_unreduced_fraction(w: BraidWord, t: Fraction):
                 out[r][i] = a + b * (1 - Fraction(1) / t)
         return out
 
-    for letter in w:
-        mat = mul_gen(mat, letter.index, letter.sign < 0)
+    for v in w:
+        mat = mul_gen(mat, abs(v), v < 0)
     return tuple(tuple(row) for row in mat)
 
 
@@ -162,8 +162,9 @@ def test_half_twist_properties():
     for n in range(2, 8):
         d = half_twist(n)
         assert len(d) == n * (n - 1) // 2
-        assert all(l.sign == 1 for l in d)
-        assert underlying_permutation(d) == Permutation.reversal(n)
+        assert all(v > 0 for v in d)
+        # the order-reversing permutation i ↦ n+1-i
+        assert underlying_permutation(d) == Permutation(tuple(range(n, 0, -1)))
 
 
 def test_half_twist_3_exhaustive():
@@ -312,15 +313,15 @@ def letterwise_raw_normal_form(w: BraidWord):
     ident, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
     renorm = garside._renorm.__wrapped__
     factors = []
-    for letter in w:
-        i = letter.index
+    for v in w:
+        i = abs(v)
         s = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
-        factors.append(s if letter.sign > 0 else garside._t_then(w0, garside._t_inv(s)))
+        factors.append(s if v > 0 else garside._t_then(w0, garside._t_inv(s)))
     delta = 0
     for j in range(len(factors) - 1, -1, -1):
         if delta % 2:
             factors[j] = garside._t_tau(factors[j])
-        if w.letters[j].sign < 0:
+        if w.letters[j] < 0:
             delta -= 1
     factors = [f for f in factors if f != ident]
     i = 0
@@ -561,7 +562,7 @@ def test_is_positive_braid():
         w = random_word(rng, n, rng.randint(0, 12))
         if exponent_sum(w) < 0:
             assert not is_positive_braid(w)
-        if all(l.sign == 1 for l in w):
+        if all(v > 0 for v in w):
             assert is_positive_braid(w)
 
 

@@ -7,7 +7,7 @@ these are the names `from braidforge import *` gives.
 import braidforge
 
 STAR_NAMES = {
-    "ArtinLetter", "Band", "BraidWord", "BudgetExceededError", "CheckResult",
+    "Band", "BraidWord", "BudgetExceededError", "CheckResult",
     "ConjugacyResult", "CoverData", "LaurentMatrix", "NormalForm", "NotQPReason",
     "PeriodicRoot", "PeriodicRootKind", "Permutation", "QPCertificate", "QPStatus",
     "QPVerdict", "RegularForm", "TubePositionAssignment", "TwistLetter", "TwistWord",

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import cabling, checks, cover, garside, quasipositive as qp
 from .garside import BudgetExceededError, DEFAULT_BUDGET
@@ -173,9 +174,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# parsing does not change the parser, so one serves every call of run
+_parser = cache(build_parser)
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.perf_counter()
     as_json = getattr(args, "json", False)
 

@@ -24,9 +24,11 @@ permutation braids, which is complete by the convexity theorem for super
 summit sets.  Each move is one `_normalize` call: cycling is
 Δ^p x_2 ... x_ℓ τ^p(x_1), decycling Δ^p τ^p(x_ℓ) x_1 ... x_{ℓ-1}, and
 conjugation by a simple s is Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s, ∂s = s^{-1}Δ.
-A conjugator is a list of simple steps, and the witness is normalized once,
-then verified.  The search carries an explicit node budget; exhausting it
-raises BudgetExceededError rather than guessing.
+A cycling or decycling phase ends when its orbit comes back to a state, and
+the steps of that loop are dropped from the conjugator.  A conjugator is a
+list of simple steps, and the witness is normalized once, then verified.
+The search carries an explicit node budget; exhausting it raises
+BudgetExceededError rather than guessing.
 
 Normal forms are not confined to desk scale.  Reducing a word is linear in
 its length.  Left-weighting a pair costs O(n) plus O(1) per letter it moves
@@ -35,7 +37,12 @@ at the first pair where nothing moves, so a factor already left-weighted
 after the last one costs one pair; and a factor that becomes Δ goes to the
 front in one step, applying τ to the factors before it.  The conjugacy
 search is: it is written for n up to about 6 or 7 and canonical lengths in
-the tens, since each node tries all n! - 1 simple conjugators.
+the tens, since each node it expands normalizes all n! - 1 simple
+conjugates, and it refuses to expand nodes above MAX_SEARCH_STRANDS.  Only
+the conjugates by s in one coset of the centralizer of the target's
+permutation can be the target (48 of 719 for a transposition in S_6), so a
+node tests those first and returns at the first hit; the rest are
+normalized only when the target is not among them.
 Reducible-braid structure (see `cabling`) is always caller-supplied, never
 detected here.
 """
@@ -89,6 +96,13 @@ DEFAULT_BUDGET = 2000
 # computed: it holds up to one n-tuple per letter, about 44 bytes an entry.
 # `cable cert` at widths [10, 10, 10] normal-forms 1.8 million.
 MAX_NF_ENTRIES = 5_000_000
+
+# The most strands on which the conjugacy search expands summit-set nodes:
+# each node tries all n! - 1 simple conjugators, and the table of them is
+# built once per n: 40 319 entries in 0.14 s at n = 8, 1.7 s at n = 9 on a
+# 2-core x86-64 VM.
+# Tests, demos, verify-paper and the benchmark expand nodes up to n = 6.
+MAX_SEARCH_STRANDS = 8
 
 
 class BudgetExceededError(RuntimeError):
@@ -601,16 +615,20 @@ def _reduce_to_summit(n: int, x: RawNF) -> tuple[RawNF, list[Step]]:
     Drive x into its super summit set (maximal inf, then minimal sup) by
     alternating cycling and decycling phases.  Returns (representative,
     steps) with representative = g^{-1} · x · g for g the product of steps.
+    A phase ends when its orbit comes back to a state; the steps taken since
+    that state was first seen conjugate it to itself, so they are dropped.
     """
     steps: list[Step] = []
     while True:
         improved = False
-        # cycling raises inf: Δ^p x_2 ... x_ℓ τ^p(x_1), conjugating by τ^p(x_1)
-        seen: set = set()
+        # cycling raises inf: Δ^p x_2 ... x_ℓ τ^p(x_1), conjugating by τ^p(x_1);
+        # seen maps each state of the phase to len(steps) when it was reached
+        seen: dict[RawNF, int] = {}
         while x[1]:
             if x in seen:
+                del steps[seen[x]:]
                 break
-            seen.add(x)
+            seen[x] = len(steps)
             p, f = x
             u = _t_tau(f[0]) if p % 2 else f[0]
             steps.append((u, 1))
@@ -619,11 +637,12 @@ def _reduce_to_summit(n: int, x: RawNF) -> tuple[RawNF, list[Step]]:
                 improved = True
                 seen.clear()
         # decycling lowers sup: Δ^p τ^p(x_ℓ) x_1 ... x_{ℓ-1}, conjugating by x_ℓ^{-1}
-        seen = set()
+        seen = {}
         while x[1]:
             if x in seen:
+                del steps[seen[x]:]
                 break
-            seen.add(x)
+            seen[x] = len(steps)
             p, f = x
             steps.append((f[-1], -1))
             x = _normalize(n, p, [_t_tau(f[-1]) if p % 2 else f[-1], *f[:-1]])
@@ -635,16 +654,82 @@ def _reduce_to_summit(n: int, x: RawNF) -> tuple[RawNF, list[Step]]:
 
 
 @lru_cache(maxsize=None)
-def _simple_conjugators(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(s, ∂s, τ(∂s)) for every nontrivial permutation braid s, with ∂s = s^{-1}Δ."""
+def _simple_conjugators(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """
+    s -> (∂s, τ(∂s)) for every nontrivial permutation braid s, with
+    ∂s = s^{-1}Δ, in lexicographic order of s: the order the summit-set
+    search tries them.  Built once per n; is_conjugate allows n up to
+    MAX_SEARCH_STRANDS.
+    """
     ident = _t_identity(n)
     w0 = _t_w0(n)
-    out = []
+    out = {}
     for s in itertools.permutations(range(1, n + 1)):
         if s != ident:
             comp = _t_then(_t_inv(s), w0)
-            out.append((s, comp, _t_tau(comp)))
-    return tuple(out)
+            out[s] = (comp, _t_tau(comp))
+    return out
+
+
+def _raw_permutation(n: int, x: RawNF) -> tuple[int, ...]:
+    """The image of Δ^p x_1 ... x_ℓ in S_n."""
+    p, factors = x
+    perm = _t_w0(n) if p % 2 else _t_identity(n)
+    for f in factors:
+        perm = _t_then(perm, f)
+    return perm
+
+
+def _cycles_by_length(p: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
+    by_length: dict[int, list[tuple[int, ...]]] = {}
+    for cycle in Permutation(p).cycles():
+        by_length.setdefault(len(cycle), []).append(cycle)
+    return by_length
+
+
+def _centralizer(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """
+    Every permutation c with c p c^{-1} = p: c sends each cycle of p onto a
+    cycle of the same length, keeping its cyclic order.  For m_L cycles of
+    length L there are L^{m_L} · m_L! ways, and the lengths choose
+    independently.
+    """
+    blocks = []
+    for length, cycles in _cycles_by_length(p).items():
+        blocks.append([
+            [(a, target[(t + shift) % length])
+             for cycle, target, shift in zip(cycles, order, shifts)
+             for t, a in enumerate(cycle)]
+            for order in itertools.permutations(cycles)
+            for shifts in itertools.product(range(length), repeat=len(cycles))
+        ])
+    out = []
+    for choice in itertools.product(*blocks):
+        images = [0] * len(p)
+        for pairs in choice:
+            for a, b in pairs:
+                images[a - 1] = b
+        out.append(tuple(images))
+    return out
+
+
+def _compatible_conjugators(
+    px: tuple[int, ...], pb: tuple[int, ...], centralizer: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """
+    Every permutation s with π(s^{-1} x s) = pb when π(x) = px, in
+    lexicographic order.  That permutation is s px s^{-1} (read as maps), so
+    s sends the cycles of px onto those of pb: one such s0 matches the cycles
+    in order, and the rest are c s0 for c in the centralizer of pb.  The
+    cycle types of px and pb must agree.
+    """
+    targets = _cycles_by_length(pb)
+    images = [0] * len(px)
+    for cycle in Permutation(px).cycles():
+        for a, b in zip(cycle, targets[len(cycle)].pop()):
+            images[a - 1] = b
+    s0 = tuple(images)
+    return sorted(_t_then(s0, c) for c in centralizer)
 
 
 def is_conjugate(
@@ -655,6 +740,8 @@ def is_conjugate(
     produce a witness w with w·a·w^{-1} = b when they are conjugate.  Intended
     for desk scale; raises BudgetExceededError once `budget` nodes have been
     expanded, which callers must treat as "unknown", never as "false".
+    Raises ValueError, before the first node is expanded, when the search
+    has to expand nodes on more than MAX_SEARCH_STRANDS strands.
     """
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} vs {b.strands}")
@@ -667,8 +754,9 @@ def is_conjugate(
     if cycle_type_a != cycle_type_b:
         return ConjugacyResult(False, None, 0)
 
+    raw_b = _raw_normal_form(b)
     rep_a, steps_a = _reduce_to_summit(n, _raw_normal_form(a))
-    rep_b, steps_b = _reduce_to_summit(n, _raw_normal_form(b))
+    rep_b, steps_b = _reduce_to_summit(n, raw_b)
     inf0, sup0 = rep_a[0], rep_a[0] + len(rep_a[1])
     if (inf0, sup0) != (rep_b[0], rep_b[0] + len(rep_b[1])):
         return ConjugacyResult(False, None, 0)
@@ -679,15 +767,26 @@ def is_conjugate(
         to_common = steps_a + path
         inverse = [(s, -sign) for s, sign in reversed(to_common)]
         w = nf_to_word(_wrap(n, _product(n, steps_b + inverse)))
-        if not is_equal(conjugate(w, a), b):
+        if _raw_normal_form(conjugate(w, a)) != raw_b:
             raise AssertionError("internal error: conjugacy witness failed verification")
         return w
 
     if rep_a == rep_b:
         return ConjugacyResult(True, witness_from([]), 0)
+    if n > MAX_SEARCH_STRANDS:
+        raise ValueError(
+            f"conjugacy search on {n} strands: summit sets are searched on at most "
+            f"{MAX_SEARCH_STRANDS}, since each node tries all n! - 1 simple conjugators"
+        )
 
     # breadth-first search of the summit set: each node keeps its parent and
-    # the simple s with node = s^{-1} · parent · s
+    # the simple s with node = s^{-1} · parent · s.  B_n -> S_n is a
+    # homomorphism, so only the s in one coset of the centralizer of
+    # π(rep_b) can give rep_b: a node tries those first, in table order, and
+    # then normalizes the rest for the queue without testing them.
+    table = _simple_conjugators(n)
+    pb = _raw_permutation(n, rep_b)
+    centralizer = None if pb == _t_identity(n) else _centralizer(pb)
     parent: dict[RawNF, tuple[RawNF, tuple[int, ...]] | None] = {rep_a: None}
     queue = deque([rep_a])
     nodes = 0
@@ -697,17 +796,30 @@ def is_conjugate(
         x = queue.popleft()
         nodes += 1
         p, f = x
-        for s, comp, tau_comp in _simple_conjugators(n):
+        compatible = (
+            table if centralizer is None
+            else _compatible_conjugators(_raw_permutation(n, x), pb, centralizer)
+        )
+        tried: dict[tuple[int, ...], RawNF] = {}
+        for s in compatible:
+            if s not in table:  # the identity
+                continue
+            comp, tau_comp = table[s]
             # s^{-1} x s = Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s
             y = _normalize(n, p - 1, [comp if p % 2 else tau_comp, *f, s])
+            if y == rep_b:
+                path = [(s, 1)]
+                while parent[x] is not None:
+                    x, s = parent[x]
+                    path.append((s, 1))
+                return ConjugacyResult(True, witness_from(path[::-1]), nodes)
+            tried[s] = y
+        for s, (comp, tau_comp) in table.items():
+            y = tried.get(s)
+            if y is None:
+                y = _normalize(n, p - 1, [comp if p % 2 else tau_comp, *f, s])
             if y[0] != inf0 or y[0] + len(y[1]) != sup0 or y in parent:
                 continue
             parent[y] = (x, s)
-            if y == rep_b:
-                path = []
-                while parent[y] is not None:
-                    y, s = parent[y]
-                    path.append((s, 1))
-                return ConjugacyResult(True, witness_from(path[::-1]), nodes)
             queue.append(y)
     return ConjugacyResult(False, None, nodes)

@@ -66,6 +66,8 @@ class Band:
     gen_index: int
 
     def __post_init__(self):
+        if type(self.gen_index) is not int:
+            raise ValueError(f"generator index must be an int, got {self.gen_index!r}")
         if not 1 <= self.gen_index <= self.conjugator.strands - 1:
             raise ValueError(
                 f"generator index {self.gen_index} out of range for "

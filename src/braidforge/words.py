@@ -59,6 +59,8 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if type(self.strands) is not int:
+            raise ValueError(f"strand count must be an int, got {self.strands!r}")
         if not 1 <= self.strands <= MAX_STRANDS:
             raise ValueError(f"strand count must be in [1, {MAX_STRANDS}], got {self.strands}")
         top = self.strands - 1

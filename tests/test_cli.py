@@ -17,7 +17,7 @@ import pytest
 from braidforge import garside, quasipositive as qp
 from braidforge.cli import build_parser, run
 from braidforge.cover import MAX_H1_RANK
-from braidforge.garside import MAX_NF_ENTRIES
+from braidforge.garside import MAX_NF_ENTRIES, MAX_SEARCH_STRANDS
 from braidforge.words import MAX_STRANDS, MAX_WORD_LETTERS, exponent_sum, parse_word
 
 
@@ -272,6 +272,9 @@ def test_parse_error_exit_code(capsys):
         cert = '{"n": 3, "bands": [{"conj": "", "gen": %s}]}' % gen
         assert fails_with_one_line(capsys, ["qp", "expand", cert]), cert
         assert fails_with_one_line(capsys, ["qp", "verify", cert, "1"]), cert
+    # strand counts that are bools: true is not the strand count 1
+    assert fails_with_one_line(capsys, ["qp", "expand", '{"n":true,"bands":[]}'])
+    assert fails_with_one_line(capsys, ["cable", "assemble", '{"tubular":"","widths":[true, 2]}'])
     # a word that expands past the letter cap
     assert fails_with_one_line(capsys, ["abel", "-n", "3", "((1^1000 2)^1000)^3"])
     # cabled words past the letter cap: one 600 x 600 crossing, or five of 200 x 200
@@ -307,6 +310,12 @@ def test_parse_error_exit_code(capsys):
         ["cable", "normalize", '{"tubular": "", "widths": [%d], "positions": [""]}' % (MAX_STRANDS + 1)],
     ]:
         assert fails_with_one_line(capsys, argv), argv
+    # conjugacy searches that would expand nodes just past
+    # garside.MAX_SEARCH_STRANDS, and one that ends before its first node
+    over = str(MAX_SEARCH_STRANDS + 1)
+    for argv in [["conj", "-n", over, "1", "2"], ["qp", "obstruct", "-n", over, "2"]]:
+        assert fails_with_one_line(capsys, argv), argv
+    assert run(["qp", "obstruct", "-n", "12", "1"]) == 0
     # short words whose normal form word passes the letter cap: Δ^-1000 in
     # B_30 alone is 435 000 letters, Δ^-200 is 87 000 and its factors 86 800
     # more; Δ^-100 and its factors are 86 900 in all

@@ -18,6 +18,7 @@ The independent oracles used here:
     root witnesses against is_equal.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -696,6 +697,199 @@ def test_budget_exhaustion_is_distinct():
     assert is_conjugate(a, b).conjugate
     with pytest.raises(BudgetExceededError):
         is_conjugate(a, b, budget=0)
+
+
+
+def reference_reduce_to_summit(n: int, x):
+    """
+    The reference for `garside._reduce_to_summit`: the same cycling and
+    decycling phases, each ended when its orbit comes back to a state, with
+    every step kept, loops included.
+    """
+    steps = []
+    while True:
+        improved = False
+        for decycle in (False, True):
+            seen = set()
+            while x[1] and x not in seen:
+                seen.add(x)
+                p, f = x
+                if decycle:
+                    steps.append((f[-1], -1))
+                    x = garside._normalize(n, p, [garside._t_tau(f[-1]) if p % 2 else f[-1], *f[:-1]])
+                    better = x[0] + len(x[1]) < p + len(f)
+                else:
+                    u = garside._t_tau(f[0]) if p % 2 else f[0]
+                    steps.append((u, 1))
+                    x = garside._normalize(n, p, [*f[1:], u])
+                    better = x[0] > p
+                if better:
+                    improved = True
+                    seen.clear()
+        if not improved:
+            return x, steps
+
+
+def reference_search(a: BraidWord, b: BraidWord, budget: int) -> tuple[bool, int]:
+    """
+    The reference for the verdict and node count of `garside.is_conjugate`:
+    the summit-set search that normalizes s^{-1} x s for every one of the
+    n! - 1 simple s at every node, in lexicographic order, and tests each
+    result against the target.  Raises BudgetExceededError like the search.
+    """
+    n = a.strands
+
+    def cycle_type(w):
+        return sorted(len(c) for c in underlying_permutation(w).cycles())
+
+    if exponent_sum(a) != exponent_sum(b) or cycle_type(a) != cycle_type(b):
+        return False, 0
+    rep_a, _ = reference_reduce_to_summit(n, garside._raw_normal_form(a))
+    rep_b, _ = reference_reduce_to_summit(n, garside._raw_normal_form(b))
+    inf0, sup0 = rep_a[0], rep_a[0] + len(rep_a[1])
+    if (inf0, sup0) != (rep_b[0], rep_b[0] + len(rep_b[1])):
+        return False, 0
+    if rep_a == rep_b:
+        return True, 0
+    ident, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+    seen, queue, nodes = {rep_a}, [rep_a], 0
+    while queue:
+        if nodes >= budget:
+            raise BudgetExceededError(nodes)
+        x = queue.pop(0)
+        nodes += 1
+        p, f = x
+        for s in itertools.permutations(ident):
+            if s == ident:
+                continue
+            comp = garside._t_then(garside._t_inv(s), w0)
+            y = garside._normalize(n, p - 1, [comp if p % 2 else garside._t_tau(comp), *f, s])
+            if y[0] != inf0 or y[0] + len(y[1]) != sup0 or y in seen:
+                continue
+            if y == rep_b:
+                return True, nodes
+            seen.add(y)
+            queue.append(y)
+    return False, nodes
+
+
+def conjugate_pairs() -> list[tuple[BraidWord, BraidWord]]:
+    """Seeded pairs a, u·a·u^{-1} in B_3 to B_6."""
+    rng = random.Random(89)
+    pairs = []
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        a = random_word(rng, n, rng.randint(1, 10 - n))
+        pairs.append((a, conjugate(random_word(rng, n, rng.randint(1, 5)), a)))
+    return pairs
+
+
+def invariant_sharing_pairs() -> list[tuple[BraidWord, BraidWord]]:
+    """
+    Seeded pairs in B_3 to B_5 that share exponent sum and permutation: a
+    pure braid σ_i² σ_j^{-2} is inserted into a, then the word is conjugated.
+    Most are told apart by their summit inf and sup, a few only by the
+    summit-set search.
+    """
+    rng = random.Random(90)
+    pairs = []
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        a = random_word(rng, n, rng.randint(4, 8))
+        i, j = rng.sample(range(1, n), 2)
+        at = rng.randint(0, len(a))
+        other = word(n, [*a.letters[:at], i, i, -j, -j, *a.letters[at:]])
+        pairs.append((a, conjugate(random_word(rng, n, 3), other)))
+    return pairs
+
+
+def search_outcome(search, a, b, budget):
+    try:
+        return search(a, b, budget)
+    except BudgetExceededError as err:
+        return "budget", err.nodes
+
+
+def test_search_matches_reference_search():
+    seen = set()
+    corpus = conjugate_pairs() + invariant_sharing_pairs()
+    # a budget of 2 nodes, which the larger searches exhaust, and one of 50
+    for (a, b), budget in itertools.product(corpus, (2, 50)):
+        want = search_outcome(reference_search, a, b, budget)
+        res = search_outcome(is_conjugate, a, b, budget)
+        if isinstance(res, garside.ConjugacyResult):
+            assert res.witness is None or is_equal(conjugate(res.witness, a), b), (a, b)
+            res = res.conjugate, res.nodes
+        assert res == want, (a, b, budget)
+        seen.add((want[0], want[1] > 0))
+    # every kind of outcome occurs: conjugate and not, found by the search
+    # or before it, and the budget exhausted
+    assert seen >= {(True, True), (True, False), (False, True), (False, False), ("budget", True)}
+
+
+def test_search_normalize_calls(monkeypatch):
+    # the seeded conjugate pairs: 11 208 _normalize calls when every node
+    # normalizes all n! - 1 simple conjugates and tests each against the
+    # target, with every cycling loop kept in the summit steps; 8 541 when a
+    # node first tries only the conjugates whose permutation can give the
+    # target and the loops are dropped
+    calls = []
+    normalize = garside._normalize
+
+    def counted(*args):
+        calls.append(args[0])
+        return normalize(*args)
+
+    monkeypatch.setattr(garside, "_normalize", counted)
+    for a, b in conjugate_pairs():
+        assert is_conjugate(a, b).conjugate
+    assert len(calls) <= 9_400
+
+
+def test_compatible_conjugators_match_brute_force():
+    rng = random.Random(97)
+    for n in range(2, 7):
+        table = garside._simple_conjugators(n)
+        ident = tuple(range(1, n + 1))
+        for k in range(12):
+            px = ident if k == 0 else tuple(rng.sample(ident, n))
+            u = tuple(rng.sample(ident, n))
+            pb = garside._t_then(garside._t_then(garside._t_inv(u), px), u)
+            want = [
+                s for s in table
+                if garside._t_then(garside._t_then(garside._t_inv(s), px), s) == pb
+            ]
+            got = garside._compatible_conjugators(px, pb, garside._centralizer(pb))
+            assert [s for s in got if s in table] == want, (px, pb)
+            assert len(got) == len(set(got)) == len(want) + (px == pb)
+
+
+def test_summit_steps_conjugate_onto_representative():
+    rng = random.Random(101)
+    shorter = 0
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        w = random_word(rng, n, rng.randint(1, 12))
+        raw = garside._raw_normal_form(w)
+        rep, steps = garside._reduce_to_summit(n, raw)
+        ref_rep, ref_steps = reference_reduce_to_summit(n, raw)
+        assert rep == ref_rep, w
+        assert len(steps) <= len(ref_steps), w
+        shorter += len(steps) < len(ref_steps)
+        g = nf_to_word(garside._wrap(n, garside._product(n, steps)))
+        assert garside._raw_normal_form(concat(concat(invert_word(g), w), g)) == rep, w
+    assert shorter > 0
+
+
+def test_search_strand_limit():
+    limit = garside.MAX_SEARCH_STRANDS
+    with pytest.raises(ValueError, match="summit sets are searched on at most"):
+        is_conjugate(word(limit + 1, [1]), word(limit + 1, [2]))
+    # a search that ends before its first node runs at any n
+    n = 12
+    res = is_conjugate(word(n, [2, 4, -7]), word(n, [4, 3, -3, 2, -7]))
+    assert res.conjugate and res.nodes == 0
+    assert not is_conjugate(word(n, [1]), word(n, [1, 1])).conjugate
 
 
 # --- property tests ---

@@ -72,6 +72,13 @@ def test_verify():
         verify(BAND_PAIR, word(3, [1]))
 
 
+def test_band_generator_validation():
+    # the generator index is an int in [1, n-1]; a bool or a float is not an int
+    for gen in [0, 3, True, 1.0]:
+        with pytest.raises(ValueError):
+            Band(identity_word(3), gen)
+
+
 def test_conjugate_certificate():
     rng = random.Random(7)
     cert = random_certificate(rng, 4, 3)

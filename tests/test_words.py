@@ -230,6 +230,9 @@ def test_letter_validation():
         lambda: BraidWord(3, (3,)),
         lambda: word(3, [1.5]),
         lambda: word(3, [True]),
+        # so is a strand count
+        lambda: BraidWord(2.0, (1,)),
+        lambda: BraidWord(True, ()),
     ]:
         with pytest.raises(ValueError):
             bad()

@@ -2,7 +2,8 @@
 Cyclic branched covers: lifts, homology matrices, and the Burau cross-check.
 
 A braid on n strands lifts to the k-fold cyclic cover of the disk branched
-at n points; the generator σ_i becomes the twist chain t_{i,1}...t_{i,k-1}.
+at n points; the generator σ_i becomes the twist chain t_{i,1}...t_{i,k-1},
+held as the signed indices of those curves in the H_1 basis.
 On first homology every twist acts by an integral transvection, the deck
 transformation acts by companion blocks, lifted braids commute with the
 deck action, chain-relation words act trivially, and the whole
@@ -70,9 +71,10 @@ print("deck matrix at (3,3):")
 print(D)
 lifted = lift_word(parse_word("1 -2 1 2", 3), 3)
 print("a lifted braid commutes with it:", symmetry_check(lifted))
-from braidforge import TwistWord, TwistLetter
+from braidforge import TwistWord
 
-print("a bare single twist does not:", symmetry_check(TwistWord(3, 3, (TwistLetter(1, 1, 1),))))
+# a twist-word letter is the signed index of its basis curve: t_{1,1} is 1
+print("a bare single twist does not:", symmetry_check(TwistWord(3, 3, (1,))))
 
 print()
 print("== homology-level identity checking (necessary, not sufficient) ==")
@@ -83,7 +85,8 @@ print("lifts of the braid relation sides agree on H1:", check_identity(a, b))
 print()
 print("== the Burau cross-oracle ==")
 b = parse_word("1 -2 2 1 -1 2", 3)
-print("reduced Burau entries of σ1 in B_3:", [burau_reduced(word(3, [1])).entry(r, c) for r in range(2) for c in range(2)])
+# reduced Burau is a dict from each exponent of t to its coefficient matrix
+print("reduced Burau of σ1 in B_3:", burau_reduced(word(3, [1])))
 V = base_change(3, 2)
 H = homology_rep(lift_word(b, 2))
 print("H·V == V·B, B = Burau at the companion matrix:", mul(H, V) == mul(V, burau_at_companion(b, 2)))

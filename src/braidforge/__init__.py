@@ -76,8 +76,6 @@ from .cabling import (
 )
 from .cover import (
     CoverData,
-    LaurentMatrix,
-    TwistLetter,
     TwistWord,
     base_change,
     burau_at_companion,

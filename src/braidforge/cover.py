@@ -5,7 +5,9 @@ lifts as Dehn-twist words, and the integral homology representation.
 The covering surface is the Seifert surface of the (n, k) torus link: n disks
 joined by k bands between each adjacent pair.  H_1 has rank (n-1)(k-1), with
 basis the classes of the curves running through bands l and l+1 between disks
-i and i+1 (1 <= i <= n-1, 1 <= l <= k-1).  A braid generator lifts to the
+i and i+1 (1 <= i <= n-1, 1 <= l <= k-1), numbered e = (i-1)(k-1) + l.  A
+twist word holds each letter as a signed integer: e for the Dehn twist t_{i,l}
+about basis curve e, and -e for its inverse.  A braid generator lifts to the
 chain of twists t_{i,1} ... t_{i,k-1}, and a Dehn twist acts on H_1 by the
 transvection x ↦ x + <x, c>·c in the intersection pairing.  Both
 representations are computed letter by letter as sparse column updates of
@@ -26,11 +28,11 @@ independent cross-check of the whole construction; `base_change` verifies it
 on the generators before returning it.
 
 Everything is exact: an integer matrix is a list of rows, each a list of
-Python integers, and a Burau matrix is a Laurent polynomial with such
-matrices as coefficients.  A matrix of rank (n-1)(k-1) above MAX_H1_RANK is
-refused before it is allocated, and so are a lift of more than
-MAX_WORD_LETTERS twists and a Burau matrix of more than MAX_BURAU_ENTRIES
-entries.
+Python integers, and a reduced Burau matrix is a dict from each exponent of t
+to its coefficient matrix, with no zero coefficient.  A matrix of rank
+(n-1)(k-1) above MAX_H1_RANK is refused before it is allocated, and so are a
+lift of more than MAX_WORD_LETTERS twists and a Burau matrix of more than
+MAX_BURAU_ENTRIES entries.
 Homology-level equality of twist words is a necessary condition for equality
 in the mapping class group, never claimed sufficient.
 """
@@ -46,9 +48,7 @@ from .words import MAX_WORD_LETTERS, BraidWord, word
 
 __all__ = [
     "CoverData",
-    "TwistLetter",
     "TwistWord",
-    "LaurentMatrix",
     "cover_data",
     "lift_word",
     "parse_twist_word",
@@ -106,37 +106,25 @@ def cover_data(n: int, k: int) -> CoverData:
 
 
 @dataclass(frozen=True, slots=True)
-class TwistLetter:
-    """One Dehn twist t_{i,l} (sign +1) or its inverse (sign -1) about the
-    basis curve through disks i, i+1 and bands l, l+1."""
-
-    i: int
-    l: int
-    sign: int
-
-    def __post_init__(self):
-        if self.i < 1 or self.l < 1:
-            raise ValueError(f"twist indices must be >= 1, got ({self.i}, {self.l})")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-
-@dataclass(frozen=True, slots=True)
 class TwistWord:
-    """A word in the twist generators of the (n, k) cover, read left to right."""
+    """
+    A word in the twist generators of the (n, k) cover, read left to right.
+    Letter e > 0 is the twist t_{i,l} about basis curve e = (i-1)(k-1) + l,
+    and -e is its inverse; every letter is an int with 1 <= |e| <= (n-1)(k-1).
+    """
 
     n: int
     k: int
-    letters: tuple[TwistLetter, ...] = ()
+    letters: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.n < 2 or self.k < 2:
             raise ValueError(f"cover needs n >= 2 and k >= 2, got ({self.n}, {self.k})")
-        for letter in self.letters:
-            if letter.i > self.n - 1 or letter.l > self.k - 1:
+        top = (self.n - 1) * (self.k - 1)
+        for v in self.letters:
+            if type(v) is not int or not 0 < abs(v) <= top:
                 raise ValueError(
-                    f"twist t[{letter.i},{letter.l}] out of range for (n, k) = "
-                    f"({self.n}, {self.k})"
+                    f"a twist letter must be a nonzero int in [-{top}, {top}], got {v!r}"
                 )
 
     def __len__(self) -> int:
@@ -154,12 +142,14 @@ def lift_word(b: BraidWord, k: int) -> TwistWord:
     count = len(b) * (k - 1)
     if count > MAX_WORD_LETTERS:
         raise ValueError(f"lift would have {count} twists, more than {MAX_WORD_LETTERS}")
-    letters: list[TwistLetter] = []
+    m = k - 1
+    letters: list[int] = []
     for v in b.letters:
+        # the chain of σ_i runs over the basis curves (i-1)m + 1, ..., im
         if v > 0:
-            letters.extend(TwistLetter(v, l, 1) for l in range(1, k))
+            letters.extend(range((v - 1) * m + 1, v * m + 1))
         else:
-            letters.extend(TwistLetter(-v, l, -1) for l in range(k - 1, 0, -1))
+            letters.extend(range(v * m, (v + 1) * m))
     return TwistWord(b.strands, k, tuple(letters))
 
 
@@ -168,23 +158,27 @@ _TWIST_TOKEN = re.compile(r"t\[(\d+),(\d+)\](\^-1)?$")
 
 def parse_twist_word(text: str, n: int, k: int) -> TwistWord:
     """Parse twist-word text: letters "t[i,l]" and "t[i,l]^-1", whitespace
-    separated."""
+    separated, with 1 <= i <= n-1 and 1 <= l <= k-1."""
     letters = []
     for token in text.split():
         m = _TWIST_TOKEN.match(token)
         if m is None:
             raise ValueError(f"malformed twist letter {token!r}")
-        letters.append(
-            TwistLetter(int(m.group(1)), int(m.group(2)), -1 if m.group(3) else 1)
-        )
+        i, l = int(m.group(1)), int(m.group(2))
+        if not (0 < i < n and 0 < l < k):
+            raise ValueError(f"twist t[{i},{l}] out of range for (n, k) = ({n}, {k})")
+        e = (i - 1) * (k - 1) + l
+        letters.append(-e if m.group(3) else e)
     return TwistWord(n, k, tuple(letters))
 
 
 def format_twist_word(w: TwistWord) -> str:
-    return " ".join(
-        f"t[{letter.i},{letter.l}]" + ("" if letter.sign > 0 else "^-1")
-        for letter in w.letters
-    )
+    m = w.k - 1
+    out = []
+    for v in w.letters:
+        i, l = divmod(abs(v) - 1, m)
+        out.append(f"t[{i + 1},{l + 1}]" + ("" if v > 0 else "^-1"))
+    return " ".join(out)
 
 
 # --- exact integer linear algebra ----------------------------------------------
@@ -212,18 +206,22 @@ def _mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _block_diagonal(blocks: list[list[list[int]]]) -> list[list[int]]:
-    d = sum(map(len, blocks))
-    out = []
-    for block in blocks:
-        start = len(out)
-        out.extend([0] * start + row + [0] * (d - start - len(row)) for row in block)
+def _block_diagonal(m: int, blocks: list[list[tuple[int, int, int]]]) -> list[list[int]]:
+    """The block-diagonal matrix of m x m blocks, each given by its nonzero
+    entries (row, column, value)."""
+    d = m * len(blocks)
+    out = [[0] * d for _ in range(d)]
+    for start, entries in zip(range(0, d, m), blocks):
+        for r, c, v in entries:
+            out[start + r][start + c] = v
     return out
 
 
 def _h1_rank(n: int, k: int) -> int:
-    """The H_1 rank (n-1)(k-1) of a matrix about to be built, refused above
-    MAX_H1_RANK."""
+    """The H_1 rank (n-1)(k-1) of a matrix about to be built, refused for
+    n < 2, k < 2 or above MAX_H1_RANK."""
+    if n < 2 or k < 2:
+        raise ValueError(f"cover needs n >= 2 and k >= 2, got ({n}, {k})")
     d = (n - 1) * (k - 1)
     if d > MAX_H1_RANK:
         raise ValueError(f"H_1 rank (n-1)(k-1) = {d} is more than {MAX_H1_RANK}")
@@ -233,21 +231,22 @@ def _h1_rank(n: int, k: int) -> int:
 # --- intersection form, deck action, homology ------------------------------------
 
 
-def _basis_index(i: int, l: int, k: int) -> int:
-    return (i - 1) * (k - 1) + (l - 1)
-
-
 # (disk step, band step, pairing) of the at most six curves meeting e_{i,l}
 _NEIGHBOURS = ((0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1), (1, -1, 1), (-1, 1, -1))
 
 
-def _pairings(i: int, l: int, n: int, k: int) -> list[tuple[int, int]]:
-    """The nonzero entries (f, J[e, f]) of row e = e_{i,l} of the
-    intersection form."""
+def _pairing_rows(n: int, k: int) -> list[list[tuple[int, int]]]:
+    """For each basis curve e = e_{i,l} in basis order, the nonzero entries
+    (f, J[e, f]) of its row of the intersection form, f counted from 0."""
+    m = k - 1
     return [
-        (_basis_index(i + di, l + dl, k), v)
-        for di, dl, v in _NEIGHBOURS
-        if 1 <= i + di <= n - 1 and 1 <= l + dl <= k - 1
+        [
+            ((i + di - 1) * m + l + dl - 1, v)
+            for di, dl, v in _NEIGHBOURS
+            if 0 < i + di < n and 0 < l + dl < k
+        ]
+        for i in range(1, n)
+        for l in range(1, k)
     ]
 
 
@@ -261,23 +260,19 @@ def intersection_form(n: int, k: int) -> list[list[int]]:
     choices that satisfy the same relations differ from it by reorienting
     curves or reflecting the surface, which no identity here can see.
     """
-    cover_data(n, k)
     d = _h1_rank(n, k)
     J = [[0] * d for _ in range(d)]
-    for i in range(1, n):
-        for l in range(1, k):
-            row = J[_basis_index(i, l, k)]
-            for f, v in _pairings(i, l, n, k):
-                row[f] = v
+    for row, pairs in zip(J, _pairing_rows(n, k)):
+        for f, v in pairs:
+            row[f] = v
     return J
 
 
 def deck_matrix(n: int, k: int) -> list[list[int]]:
     """The H_1 action of the deck transformation: one companion block of
     1 + t + ... + t^{k-1} per disk gap, of order exactly k."""
-    cover_data(n, k)
     _h1_rank(n, k)
-    return _block_diagonal([_companion(k)] * (n - 1))
+    return _block_diagonal(k - 1, [_companion_power(k, 1)] * (n - 1))
 
 
 def homology_rep(w: TwistWord) -> list[list[int]]:
@@ -291,11 +286,12 @@ def homology_rep(w: TwistWord) -> list[list[int]]:
     and transposed once at the end.
     """
     cols = _identity(_h1_rank(w.n, w.k))
-    for letter in w.letters:
-        col = cols[_basis_index(letter.i, letter.l, w.k)]
-        for j, v in _pairings(letter.i, letter.l, w.n, w.k):
-            # J[j, e] = -J[e, j] = -v
-            cols[j] = list(map(sub if letter.sign * v > 0 else add, cols[j], col))
+    rows = _pairing_rows(w.n, w.k)
+    for v in w.letters:
+        col = cols[abs(v) - 1]
+        for j, p in rows[abs(v) - 1]:
+            # J[j, e] = -J[e, j] = -p
+            cols[j] = list(map(sub if v * p > 0 else add, cols[j], col))
     return _transpose(cols)
 
 
@@ -319,52 +315,6 @@ def check_identity(a: TwistWord, b: TwistWord) -> bool:
 # --- reduced Burau and the companion specialization ------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentMatrix:
-    """A square matrix of integer Laurent polynomials in one variable,
-    stored as exponent -> integer coefficient matrix."""
-
-    size: int
-    coeffs: dict[int, list[list[int]]]
-
-    def _trimmed(self) -> dict[int, list[list[int]]]:
-        return {e: m for e, m in self.coeffs.items() if any(map(any, m))}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentMatrix) or self.size != other.size:
-            return NotImplemented
-        return self._trimmed() == other._trimmed()
-
-    def entry(self, r: int, c: int) -> dict[int, int]:
-        return {e: m[r][c] for e, m in self._trimmed().items() if m[r][c]}
-
-    def at_matrix(self, K: list[list[int]]) -> list[list[int]]:
-        """Blockwise substitution of the companion matrix K of
-        1 + t + ... + t^{k-1} for t: entry p(t) becomes the block p(K).
-        K multiplies by t in Z[t]/(1 + t + ... + t^{k-1}) on the basis
-        1, t, ..., t^{k-2}, so column i of K^e is the class of t^{(i+e) mod k},
-        with t^{k-1} = -(1 + t + ... + t^{k-2})."""
-        m = len(K)
-        k = m + 1
-        if K != _companion(k):
-            raise ValueError("at_matrix needs the companion matrix of 1 + t + ... + t^{k-1}")
-        acc = [[0] * (self.size * m) for _ in range(self.size * m)]
-        for e, mat in self._trimmed().items():
-            for r, row in enumerate(mat):
-                for c, v in enumerate(row):
-                    if not v:
-                        continue
-                    block = acc[r * m : (r + 1) * m]
-                    for i in range(m):
-                        s = (i + e) % k
-                        if s < m:
-                            block[s][c * m + i] += v
-                        else:
-                            for acc_row in block:
-                                acc_row[c * m + i] -= v
-        return acc
-
-
 # the entries of row i of the Burau image of σ_i^{±1}, by sign, as
 # (column offset from i, exponent of t, coefficient)
 _BURAU_ROW = {
@@ -373,12 +323,14 @@ _BURAU_ROW = {
 }
 
 
-def burau_reduced(b: BraidWord) -> LaurentMatrix:
+def burau_reduced(b: BraidWord) -> dict[int, list[list[int]]]:
     """
     The reduced Burau matrix of a braid word, letters multiplied in word
-    order.  The image of σ_i^{±1} differs from the identity only in row i,
-    which reads (t, -t, 1) for σ_i and (1, -t^{-1}, t^{-1}) for σ_i^{-1},
-    centred on the diagonal and cut off at the edges (σ_1 ↦ [-t] for n = 2).
+    order, as a dict from each exponent of t to its integer coefficient
+    matrix; no coefficient in it is zero.  The image of σ_i^{±1} differs from
+    the identity only in row i, which reads (t, -t, 1) for σ_i and
+    (1, -t^{-1}, t^{-1}) for σ_i^{-1}, centred on the diagonal and cut off at
+    the edges (σ_1 ↦ [-t] for n = 2).
     Of the two transpose conventions in circulation this is the one whose
     specialization at the companion matrix consists of homology
     transvections.  Right-multiplying by it replaces column i by -t^{±1}
@@ -409,27 +361,48 @@ def burau_reduced(b: BraidWord) -> LaurentMatrix:
                         cols[e + shift] = [[0] * d for _ in range(d)]
                     cs = cols[e + shift]
                     cs[r + offset] = [x + c * y for x, y in zip(cs[r + offset], col)]
-    return LaurentMatrix(d, {e: _transpose(cs) for e, cs in cols.items() if any(map(any, cs))})
+    return {e: _transpose(cs) for e, cs in cols.items() if any(map(any, cs))}
 
 
-def _companion(k: int) -> list[list[int]]:
-    """Companion matrix of 1 + t + ... + t^{k-1}, the deck action on one row."""
-    K = [[0] * (k - 1) for _ in range(k - 1)]
-    for l in range(k - 2):
-        K[l + 1][l] = 1
-    for l in range(k - 1):
-        K[l][k - 2] = -1
-    return K
+def _companion_power(k: int, e: int, sign: int = 1) -> list[tuple[int, int, int]]:
+    """
+    The nonzero entries (row, column, value) of sign·K^e, K the companion
+    matrix of 1 + t + ... + t^{k-1}, the deck action on one row of curves.
+    K multiplies by t in Z[t]/(1 + t + ... + t^{k-1}) on the basis
+    1, t, ..., t^{k-2}, so column i of K^e is the class of t^{(i+e) mod k},
+    with t^{k-1} = -(1 + t + ... + t^{k-2}): at most 2k - 3 entries.
+    """
+    m = k - 1
+    out = []
+    for i in range(m):
+        s = (i + e) % k
+        if s < m:
+            out.append((s, i, sign))
+        else:
+            out.extend((r, i, -sign) for r in range(m))
+    return out
 
 
 def burau_at_companion(b: BraidWord, k: int) -> list[list[int]]:
-    """Reduced Burau with the companion matrix of 1 + t + ... + t^{k-1}
+    """Reduced Burau with the companion matrix K of 1 + t + ... + t^{k-1}
     substituted blockwise for t: an (n-1)(k-1) integer matrix modelling the
-    H_1 action on the k-fold cover."""
-    if k < 2:
-        raise ValueError("companion specialization needs k >= 2")
-    _h1_rank(b.strands, k)
-    return burau_reduced(b).at_matrix(_companion(k))
+    H_1 action on the k-fold cover, in which entry p(t) becomes the block
+    p(K).  Each nonzero coefficient of t^e adds its multiple of the at most
+    2k - 3 entries of K^e."""
+    d = _h1_rank(b.strands, k)
+    m = k - 1
+    burau = burau_reduced(b)
+    acc = [[0] * d for _ in range(d)]
+    for e, mat in burau.items():
+        power = _companion_power(k, e)
+        for r, row in enumerate(mat):
+            block = acc[r * m : (r + 1) * m]
+            for c, v in enumerate(row):
+                if v:
+                    start = c * m
+                    for s, i, x in power:
+                        block[s][start + i] += v * x
+    return acc
 
 
 # --- the Burau base change --------------------------------------------------------
@@ -439,23 +412,17 @@ def base_change(n: int, k: int) -> list[list[int]]:
     """
     The unimodular V with homology_rep(lift(b))·V = V·burau_at_companion(b)
     for every braid b on n strands: V = diag(W, W^2, ..., W^{n-1}) with
-    W = -K^{k-1} = -K^{-1}, K the companion matrix of 1 + t + ... + t^{k-1}.
-    It is unique up to the commutant of the Burau images.  Before returning,
-    V is checked on every generator σ_i, and W·(-K) = I, which makes V
-    unimodular.
+    W = -K^{-1} = -K^{k-1}, K the companion matrix of 1 + t + ... + t^{k-1},
+    so that W^j = (-1)^j K^{-j}.  It is unique up to the commutant of the
+    Burau images.  Before returning, V is checked on every generator σ_i, and
+    W^j·(-K)^j = I on every block, W·(-K) = I first, which makes V unimodular.
     """
-    cover_data(n, k)
-    _h1_rank(n, k)
+    d = _h1_rank(n, k)
     m = k - 1
-    K = _companion(k)
-    # K^{-1} = K^{k-1} sends t^i to t^{i-1}: column 0 is t^{k-1} = -(1 + ... + t^{k-2})
-    W = [[1 if c == 0 else -(r == c - 1) for c in range(m)] for r in range(m)]
-    if _mul(W, [[-v for v in row] for row in K]) != _identity(m):
-        raise AssertionError(f"internal error: -K^{{k-1}} is not the inverse of -K for k = {k}")
-    blocks = [W]
-    while len(blocks) < n - 1:
-        blocks.append(_mul(blocks[-1], W))
-    V = _block_diagonal(blocks)
+    V = _block_diagonal(m, [_companion_power(k, -j, (-1) ** j) for j in range(1, n)])
+    inverse = _block_diagonal(m, [_companion_power(k, j, (-1) ** j) for j in range(1, n)])
+    if _mul(V, inverse) != _identity(d):
+        raise AssertionError(f"internal error: W^j·(-K)^j is not I for (n, k) = ({n}, {k})")
     for i in range(1, n):
         b = word(n, [i])
         if _mul(homology_rep(lift_word(b, k)), V) != _mul(V, burau_at_companion(b, k)):

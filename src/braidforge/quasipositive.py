@@ -21,6 +21,7 @@ from enum import Enum
 from .garside import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    _check_nf_size,
     is_conjugate,
     is_equal,
     nf_to_word,
@@ -30,7 +31,6 @@ from .garside import (
 from .words import (
     BraidWord,
     concat,
-    concat_all,
     exponent_sum,
     format_word,
     identity_word,
@@ -110,8 +110,17 @@ def trivial_certificate(positive: BraidWord) -> QPCertificate:
 
 
 def expand(cert: QPCertificate) -> BraidWord:
-    """The certificate as a word: the concatenation of its bands."""
-    return concat_all((band.to_word() for band in cert.bands), cert.strands)
+    """The certificate as a word: the concatenation of its bands.  Raises
+    ValueError, before allocating it, when strands times letters would be
+    more than garside.MAX_NF_ENTRIES, past what `verify` can normal-form."""
+    _check_nf_size(cert.strands, sum(2 * len(band.conjugator) + 1 for band in cert.bands))
+    letters: list[int] = []
+    for band in cert.bands:
+        w = band.conjugator.letters
+        letters.extend(w)
+        letters.append(band.gen_index)
+        letters.extend(-v for v in reversed(w))
+    return BraidWord(cert.strands, tuple(letters))
 
 
 def verify(cert: QPCertificate, b: BraidWord) -> bool:
@@ -235,7 +244,9 @@ def certificate_to_json(cert: QPCertificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> QPCertificate:
-    """Inverse of certificate_to_json; raises ValueError on any other shape."""
+    """Inverse of certificate_to_json; raises ValueError on any other shape,
+    and on a certificate that `expand` would refuse, as soon as the bands
+    read so far pass its bound."""
     if not (
         isinstance(data, dict)
         and isinstance(data.get("n"), int)
@@ -244,6 +255,7 @@ def certificate_from_json(data: dict) -> QPCertificate:
         raise ValueError('certificate must be an object with an integer "n" and a "bands" list')
     n = data["n"]
     bands = []
+    letters = 0
     for entry in data["bands"]:
         if not (
             isinstance(entry, dict)
@@ -251,5 +263,8 @@ def certificate_from_json(data: dict) -> QPCertificate:
             and isinstance(entry.get("gen"), int)
         ):
             raise ValueError('each band must be an object with a "conj" word and an integer "gen"')
-        bands.append(Band(parse_word(entry["conj"], n), entry["gen"]))
+        band = Band(parse_word(entry["conj"], n), entry["gen"])
+        letters += 2 * len(band.conjugator) + 1
+        _check_nf_size(n, letters)
+        bands.append(band)
     return QPCertificate(n, tuple(bands))

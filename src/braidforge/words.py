@@ -152,18 +152,6 @@ def concat(a: BraidWord, b: BraidWord) -> BraidWord:
     return BraidWord(a.strands, a.letters + b.letters)
 
 
-def concat_all(words: Iterable[BraidWord], n: int | None = None) -> BraidWord:
-    words = list(words)
-    if not words:
-        if n is None:
-            raise ValueError("cannot infer strand count from no words")
-        return identity_word(n)
-    out = words[0]
-    for w in words[1:]:
-        out = concat(out, w)
-    return out
-
-
 def invert_word(w: BraidWord) -> BraidWord:
     """The formal inverse: letters reversed and signs flipped."""
     return BraidWord(w.strands, tuple(-v for v in reversed(w.letters)))

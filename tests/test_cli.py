@@ -214,6 +214,18 @@ def fails_with_one_line(capsys, argv) -> bool:
     return code == 1 and err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_certificate_expansion_cap(capsys):
+    # 4600 bands of 199 999 letters each would expand to 9.2·10^8 letters;
+    # the count stops the parse at the third band, past garside.MAX_NF_ENTRIES
+    # on 10 strands
+    cert = json.dumps({"n": 10, "bands": [{"conj": "1^99999", "gen": 1}] * 4600})
+    assert fails_with_one_line(capsys, ["qp", "expand", cert])
+    assert fails_with_one_line(capsys, ["qp", "verify", cert, "1"])
+    capsys.readouterr()
+    run(["qp", "expand", cert])
+    assert "more than %d normal-form entries" % MAX_NF_ENTRIES in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(capsys):
     assert run(["nf", "-n", "3", "1 x"]) == 1
     assert run(["nf", "-n", "3", "7"]) == 1

@@ -16,8 +16,6 @@ import sympy
 from braidforge import cover
 from braidforge.cover import (
     CoverData,
-    LaurentMatrix,
-    TwistLetter,
     TwistWord,
     burau_reduced,
     check_identity,
@@ -47,11 +45,15 @@ def random_word(rng, n, length):
     return word(n, (rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(length)))
 
 
+def twist(i, l, k, sign=1):
+    """The letter of t_{i,l} (sign +1) or its inverse (sign -1) on a k-fold
+    cover: the signed index of basis curve e_{i,l}."""
+    return sign * ((i - 1) * (k - 1) + l)
+
+
 def twist_inverse(w):
     """The formal inverse of a twist word: letters reversed, signs flipped."""
-    return TwistWord(
-        w.n, w.k, tuple(TwistLetter(t.i, t.l, -t.sign) for t in reversed(w.letters))
-    )
+    return TwistWord(w.n, w.k, tuple(-v for v in reversed(w.letters)))
 
 
 def twist_product(a, b):
@@ -66,12 +68,16 @@ def to_sympy(mat):
 T = sympy.Symbol("t")
 
 
+def entry(burau, r, c):
+    """Entry (r, c) of a reduced Burau matrix as exponent -> nonzero coefficient."""
+    return {e: m[r][c] for e, m in burau.items() if m[r][c]}
+
+
 def burau_sympy(w):
     """The reduced Burau matrix as a sympy matrix of Laurent polynomials in t."""
     m = burau_reduced(w)
-    return sympy.Matrix(
-        m.size, m.size, lambda r, c: sum(v * T**e for e, v in m.entry(r, c).items())
-    )
+    size = w.strands - 1
+    return sympy.Matrix(size, size, lambda r, c: sum(v * T**e for e, v in entry(m, r, c).items()))
 
 
 # --- cover data ---
@@ -99,9 +105,10 @@ def test_cover_data_consistency():
 
 def test_lift_word_examples():
     lift = lift_word(word(3, [1]), 3)
-    assert lift.letters == (TwistLetter(1, 1, 1), TwistLetter(1, 2, 1))
+    assert lift.letters == (twist(1, 1, 3), twist(1, 2, 3)) == (1, 2)
     lift_inv = lift_word(word(3, [-1]), 3)
-    assert lift_inv.letters == (TwistLetter(1, 2, -1), TwistLetter(1, 1, -1))
+    assert lift_inv.letters == (twist(1, 2, 3, -1), twist(1, 1, 3, -1)) == (-2, -1)
+    assert lift_word(word(4, [3, -2]), 3).letters == (5, 6, -4, -3)
     assert lift_word(word(3, []), 4).letters == ()
 
 
@@ -117,12 +124,43 @@ def test_lift_word_homomorphic():
 
 def test_twist_word_grammar():
     w = parse_twist_word("t[1,2] t[2,1]^-1", 3, 3)
-    assert w.letters == (TwistLetter(1, 2, 1), TwistLetter(2, 1, -1))
+    assert w.letters == (twist(1, 2, 3), twist(2, 1, 3, -1)) == (2, -3)
     assert format_twist_word(w) == "t[1,2] t[2,1]^-1"
     with pytest.raises(ValueError):
         parse_twist_word("t[3,1]", 3, 3)
     with pytest.raises(ValueError):
         parse_twist_word("x[1,1]", 3, 3)
+    # t[1,3] would be the index of t[2,1] at (3, 3), and t[0,1] of nothing
+    for text in ("t[1,3]", "t[0,1]", "t[1,0]^-1"):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_twist_word(text, 3, 3)
+
+
+def test_twist_text_round_trip():
+    # every letter of the cover and its inverse, in basis order: t_{i,l} is
+    # the signed index (i-1)(k-1) + l
+    for n, k in [(2, 2), (3, 3), (4, 5), (5, 2), (7, 11), (11, 7)]:
+        d = (n - 1) * (k - 1)
+        tokens = [
+            f"t[{i},{l}]" + suffix
+            for i in range(1, n)
+            for l in range(1, k)
+            for suffix in ("", "^-1")
+        ]
+        w = parse_twist_word(" ".join(tokens), n, k)
+        assert w.letters == tuple(v for e in range(1, d + 1) for v in (e, -e))
+        assert format_twist_word(w).split() == tokens
+        assert parse_twist_word(format_twist_word(w), n, k) == w
+
+
+def test_twist_letters_are_checked():
+    assert TwistWord(3, 4, (6, -6, 1, -1)).letters == (6, -6, 1, -1)
+    for bad in (0, 7, -7, True, False, 1.0, -2.0, "1"):
+        with pytest.raises(ValueError, match="twist letter"):
+            TwistWord(3, 4, (1, bad))
+    for n, k in [(1, 3), (3, 1), (0, 0)]:
+        with pytest.raises(ValueError, match="cover needs"):
+            TwistWord(n, k)
 
 
 # --- intersection form, deck, homology ---
@@ -198,15 +236,15 @@ def test_transvection_properties():
         I = np.eye((n - 1) * (k - 1), dtype=object)
         for i in range(1, n):
             for l in range(1, k):
-                M = homology_rep(TwistWord(n, k, (TwistLetter(i, l, 1),)))
-                M_inv = homology_rep(TwistWord(n, k, (TwistLetter(i, l, -1),)))
+                M = homology_rep(TwistWord(n, k, (twist(i, l, k),)))
+                M_inv = homology_rep(TwistWord(n, k, (twist(i, l, k, -1),)))
                 diff = M - I
                 assert np.array_equal(M.T @ J @ M, J)
                 assert not np.any(diff @ diff)
                 assert to_sympy(diff).rank() <= 1
                 assert np.array_equal(M @ M_inv, I)
     # the only curve at (2, 2) pairs with nothing, so its twist acts trivially
-    assert np.array_equal(homology_rep(TwistWord(2, 2, (TwistLetter(1, 1, 1),))), np.eye(1, dtype=object))
+    assert np.array_equal(homology_rep(TwistWord(2, 2, (1,))), np.eye(1, dtype=object))
 
 
 def test_homology_rep_matches_dense_transvections():
@@ -216,14 +254,15 @@ def test_homology_rep_matches_dense_transvections():
         J = intersection_form(n, k)
         d = (n - 1) * (k - 1)
         for _ in range(4):
-            w = TwistWord(n, k, tuple(
-                TwistLetter(rng.randint(1, n - 1), rng.randint(1, k - 1), rng.choice([1, -1]))
+            letters = [
+                (rng.randint(1, n - 1), rng.randint(1, k - 1), rng.choice([1, -1]))
                 for _ in range(rng.randint(0, 20))
-            ))
+            ]
+            w = TwistWord(n, k, tuple(twist(i, l, k, sign) for i, l, sign in letters))
             expected = np.eye(d, dtype=object)
-            for letter in w.letters:
-                c = basis_vector(letter.i, letter.l, n, k)
-                expected = expected @ (np.eye(d, dtype=object) + letter.sign * np.outer(c, J @ c))
+            for i, l, sign in letters:
+                c = basis_vector(i, l, n, k)
+                expected = expected @ (np.eye(d, dtype=object) + sign * np.outer(c, J @ c))
             assert np.array_equal(homology_rep(w), expected)
 
 
@@ -281,7 +320,7 @@ def test_symmetry_check():
         b = random_word(rng, n, rng.randint(0, 15))
         assert symmetry_check(lift_word(b, k))
     # a single twist is not symmetric once the deck action is nontrivial
-    assert not symmetry_check(TwistWord(3, 3, (TwistLetter(1, 1, 1),)))
+    assert not symmetry_check(TwistWord(3, 3, (twist(1, 1, 3),)))
     assert symmetry_check(TwistWord(3, 3))
 
 
@@ -295,9 +334,10 @@ def test_check_identity_distinguishes():
 
 
 def test_burau_b2():
-    m = burau_reduced(word(2, [1]))
-    assert m.entry(0, 0) == {1: -1}
-    assert burau_reduced(word(2, [])).entry(0, 0) == {0: 1}
+    assert burau_reduced(word(2, [1])) == {1: [[-1]]}
+    assert burau_reduced(word(2, [])) == {0: [[1]]}
+    # σ1·σ1^-1 cancels to the identity, and no zero coefficient is kept
+    assert burau_reduced(word(2, [1, -1])) == {0: [[1]]}
 
 
 def burau_generator_sympy(n, i, sign):
@@ -329,7 +369,7 @@ def test_burau_satisfies_relations():
             assert burau_reduced(word(n, [i, i + 1, i])) == burau_reduced(
                 word(n, [i + 1, i, i + 1])
             )
-        identity = LaurentMatrix(n - 1, {0: np.eye(n - 1, dtype=int).tolist()})
+        identity = {0: np.eye(n - 1, dtype=int).tolist()}
         for i in range(1, n):
             assert burau_reduced(word(n, [i, -i])) == identity
         for i in range(1, n - 1):
@@ -341,10 +381,10 @@ def test_burau_size_cap(monkeypatch):
     # a generator of B_1000 has two powers of t, under the cap, so
     # base_change and burau_at_companion can reach every rank MAX_H1_RANK allows
     assert cover.MAX_BURAU_ENTRIES == cover.MAX_H1_RANK**2
-    assert burau_reduced(word(1000, [500])).entry(499, 499) == {1: -1}
+    assert entry(burau_reduced(word(1000, [500])), 499, 499) == {1: -1}
     # in B_5, σ_1^k has k + 1 powers of t of 4 x 4 entries each
     monkeypatch.setattr(cover, "MAX_BURAU_ENTRIES", 16 * 3)
-    assert burau_reduced(word(5, [1, 1])).entry(0, 0) == {2: 1}
+    assert entry(burau_reduced(word(5, [1, 1])), 0, 0) == {2: 1}
     for letters in ([1, 1, 1], [-1, -1, -1], [2, 1, 1, 1, 2]):
         with pytest.raises(ValueError, match="more than 48 entries"):
             burau_reduced(word(5, letters))
@@ -400,6 +440,33 @@ def test_cross_oracle_base_change():
             b = random_word(rng, n, rng.randint(0, 15))
             H = homology_rep(lift_word(b, k))
             assert np.array_equal(H @ V, V @ burau_at_companion(b, k))
+
+
+def test_cross_oracle_base_change_large_covers():
+    # H_1 rank 60 and 60 from both sides of n = k, and 60 again at (13, 6)
+    rng = random.Random(41)
+    for n, k in [(7, 11), (11, 7), (13, 6)]:
+        V = cover.base_change(n, k)
+        for _ in range(6):
+            b = random_word(rng, n, rng.randint(0, 24))
+            H = cover.homology_rep(lift_word(b, k))
+            assert cover._mul(H, V) == cover._mul(V, cover.burau_at_companion(b, k))
+
+
+def test_companion_power_is_matrix_power():
+    # oracle: sympy's powers, negative ones included, of the matrix with the
+    # characteristic polynomial 1 + x + ... + x^{k-1}
+    x = sympy.Symbol("x")
+    for k in range(2, 8):
+        m = k - 1
+        K = to_sympy(cover._block_diagonal(m, [cover._companion_power(k, 1)]))
+        assert sympy.expand(K.charpoly(x).as_expr() - sum(x**i for i in range(k))) == 0
+        for e in range(-2 * k, 2 * k + 1):
+            entries = cover._companion_power(k, e, -1 if e % 2 else 1)
+            assert len(entries) <= 2 * k - 3
+            assert all(v for _, _, v in entries)
+            power = K**e if e % 2 == 0 else -(K**e)
+            assert to_sympy(cover._block_diagonal(m, [entries])) == power
 
 
 def test_matrix_json_round_trip():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from braidforge.garside import is_equal, half_twist
+from braidforge.garside import MAX_NF_ENTRIES, is_equal, half_twist
 from braidforge.quasipositive import (
     Band,
     NotQPReason,
@@ -58,6 +58,42 @@ def test_expand_exponent_sum_is_band_count():
         n = rng.randint(2, 5)
         cert = random_certificate(rng, n, rng.randint(0, 6))
         assert exponent_sum(expand(cert)) == len(cert)
+
+
+def test_expand_is_the_band_by_band_concatenation():
+    # 3000 bands with conjugators of up to 15 letters
+    rng = random.Random(43)
+    cert = random_certificate(rng, 10, 3000, conj_len=15)
+    letters = [v for band in cert.bands for v in band.to_word().letters]
+    assert expand(cert) == word(10, letters)
+
+
+def test_expansion_cap():
+    # strands × letters of the expansion may reach MAX_NF_ENTRIES but not
+    # pass it: two bands of 2·125 000 + 1 and 2·124 999 + 1 letters on 10
+    # strands are exactly at the cap, and one more conjugator letter is over
+    n = 10
+    assert n * 500_000 == MAX_NF_ENTRIES
+    long, short = word(n, [1, 2] * 62_500), word(n, [1, 2] * 62_499 + [3])
+    at_cap = QPCertificate(n, (Band(long, 1), Band(short, 2)))
+    assert len(expand(at_cap)) == 500_000
+    over = QPCertificate(n, (Band(long, 1), Band(long, 2)))
+    message = f"a word of 500002 letters on 10 strands is more than {MAX_NF_ENTRIES} normal-form"
+    with pytest.raises(ValueError, match=message):
+        expand(over)
+    with pytest.raises(ValueError, match=message):
+        verify(over, word(n, [1, 2]))
+
+
+def test_certificate_from_json_counts_the_expansion():
+    # each band of "1^99999" expands to 199 999 letters: two pass on 10
+    # strands, and the third is refused before any later band is read, so
+    # the malformed fourth band is never reached
+    band = {"conj": "1^99999", "gen": 1}
+    assert len(certificate_from_json({"n": 10, "bands": [band] * 2})) == 2
+    data = {"n": 10, "bands": [band] * 3 + [{"conj": 1}]}
+    with pytest.raises(ValueError, match="a word of 599997 letters on 10 strands is more than"):
+        certificate_from_json(data)
 
 
 def test_verify():

@@ -19,9 +19,11 @@ def test_tracer_installs():
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
         "import braidforge, spans; spans.Tracer().install(braidforge); "
-        # names the package resolves on first access come back wrapped too
-        "lazy = [braidforge.homology_rep, braidforge.run_suite]; "
-        "sys.exit(None if all(hasattr(f, '__wrapped__') for f in lazy) else 'lazy names not wrapped')"
+        # names the package re-exports from the cover layer and the check
+        # suite come back wrapped too, not only those of their submodules
+        "reexported = [braidforge.homology_rep, braidforge.run_suite]; "
+        "sys.exit(None if all(hasattr(f, '__wrapped__') for f in reexported) "
+        "else 're-exported names not wrapped')"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

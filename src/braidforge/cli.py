@@ -17,7 +17,9 @@ import sys
 import time
 from functools import cache
 
-from . import cabling, checks, cover, garside, quasipositive as qp
+# every command needs these; the other submodules are imported inside the
+# commands that run them, so that a command compiles only what it uses
+from . import garside
 from .garside import BudgetExceededError, DEFAULT_BUDGET
 from .words import exponent_sum, format_word, parse_word, underlying_permutation
 
@@ -280,6 +282,8 @@ def run(argv: list[str]) -> int:
         elif args.command == "cover":
             report = _run_cover(args, started)
         elif args.command == "verify-paper":
+            from . import checks
+
             results = checks.run_suite(args.seed)
             if as_json:
                 report = _report(
@@ -326,6 +330,8 @@ def run(argv: list[str]) -> int:
 
 
 def _run_qp(args, started: float) -> dict:
+    from . import quasipositive as qp
+
     if args.qp_command == "expand":
         data = json.loads(args.cert)
         cert = qp.certificate_from_json(data)
@@ -374,6 +380,8 @@ def _run_qp(args, started: float) -> dict:
 
 
 def _run_cable(args, started: float) -> dict:
+    from . import cabling, quasipositive as qp
+
     if args.cable_command == "assemble":
         data = json.loads(args.rf)
         rf = cabling.regular_form_from_json(data)
@@ -419,6 +427,8 @@ def _run_cable(args, started: float) -> dict:
 
 
 def _run_cover(args, started: float) -> dict:
+    from . import cover
+
     n, k = args.n, args.k
     if args.cover_command == "data":
         data = cover.cover_data(n, k)

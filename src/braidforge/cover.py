@@ -89,11 +89,19 @@ class CoverData:
     h1_rank: int
 
 
+def _check_cover(n: int, k: int) -> None:
+    """Refuse an (n, k) that names no cover: both must be ints, not bools
+    or floats, and at least 2."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"cover needs int n and k, got ({n!r}, {k!r})")
+    if n < 2 or k < 2:
+        raise ValueError(f"cover needs n >= 2 and k >= 2, got ({n}, {k})")
+
+
 def cover_data(n: int, k: int) -> CoverData:
     """Invariants of the cover: n + k - nk disks-minus-bands Euler count,
     gcd(n, k) boundary circles, and first homology of rank (n-1)(k-1)."""
-    if n < 2 or k < 2:
-        raise ValueError(f"cover needs n >= 2 and k >= 2, got ({n}, {k})")
+    _check_cover(n, k)
     euler = n + k - n * k
     boundary = gcd(n, k)
     genus, rem = divmod(2 - boundary - euler, 2)
@@ -118,8 +126,7 @@ class TwistWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 2 or self.k < 2:
-            raise ValueError(f"cover needs n >= 2 and k >= 2, got ({self.n}, {self.k})")
+        _check_cover(self.n, self.k)
         top = (self.n - 1) * (self.k - 1)
         for v in self.letters:
             if type(v) is not int or not 0 < abs(v) <= top:
@@ -139,6 +146,7 @@ def lift_word(b: BraidWord, k: int) -> TwistWord:
     Raises ValueError, before allocating it, when the lift would have more
     than MAX_WORD_LETTERS twists.
     """
+    _check_cover(b.strands, k)
     count = len(b) * (k - 1)
     if count > MAX_WORD_LETTERS:
         raise ValueError(f"lift would have {count} twists, more than {MAX_WORD_LETTERS}")
@@ -219,9 +227,8 @@ def _block_diagonal(m: int, blocks: list[list[tuple[int, int, int]]]) -> list[li
 
 def _h1_rank(n: int, k: int) -> int:
     """The H_1 rank (n-1)(k-1) of a matrix about to be built, refused for
-    n < 2, k < 2 or above MAX_H1_RANK."""
-    if n < 2 or k < 2:
-        raise ValueError(f"cover needs n >= 2 and k >= 2, got ({n}, {k})")
+    an (n, k) that names no cover or above MAX_H1_RANK."""
+    _check_cover(n, k)
     d = (n - 1) * (k - 1)
     if d > MAX_H1_RANK:
         raise ValueError(f"H_1 rank (n-1)(k-1) = {d} is more than {MAX_H1_RANK}")

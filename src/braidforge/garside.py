@@ -452,20 +452,40 @@ def gamma_root_word(n: int) -> BraidWord:
 
 
 def nf_to_word(nf: NormalForm) -> BraidWord:
-    """A word representing nf; normal_form(nf_to_word(nf)) == nf.  Δ^p takes
-    |p|·n(n-1)/2 letters, so a short word can have a huge normal form word:
-    raises ValueError, before allocating it, when the word would have more
-    than MAX_WORD_LETTERS letters."""
-    n = nf.strands
+    """A word representing nf; normal_form(nf_to_word(nf)) == nf.
+
+    Δ^p with p ≥ 0 is written out ahead of the factors.  A negative power is
+    written as the left fraction N^{-1}P instead: each Δ^{-1} is paired with
+    the factor after it, Δ^{-m} x_1 x_2 ... = τ^{m-1}(∂x_1)^{-1} · Δ^{-(m-1)}
+    x_2 ... with ∂x = x^{-1}Δ, so each pair is one inverse permutation braid,
+    and only the Δ^{-1}'s left over when m exceeds the number of factors are
+    written out.  Each Δ^{±1} written out takes n(n-1)/2 letters, so a short
+    word can have a huge normal form word: raises ValueError, before
+    allocating it, when the word would have more than MAX_WORD_LETTERS
+    letters."""
+    n, p = nf.strands, nf.delta_power
+    factors = [f.images for f in nf.factors]
+    pairs = min(-p, len(factors)) if p < 0 else 0
     too_long = f"normal form word would have more than {MAX_WORD_LETTERS} letters"
-    if abs(nf.delta_power) * (n * (n - 1) // 2) > MAX_WORD_LETTERS:
+    if abs(p + pairs) * (n * (n - 1) // 2) > MAX_WORD_LETTERS:
         raise ValueError(too_long)
-    letters = list(power(half_twist(n), nf.delta_power).letters) if nf.delta_power else []
-    for factor in nf.factors:
-        factor_letters = _permutation_braid_word(factor.images)
-        if len(letters) + len(factor_letters) > MAX_WORD_LETTERS:
+    letters: list[int] = []
+
+    def extend(chunk: list[int]) -> None:
+        if len(letters) + len(chunk) > MAX_WORD_LETTERS:
             raise ValueError(too_long)
-        letters.extend(factor_letters)
+        letters.extend(chunk)
+
+    w0 = _t_w0(n)
+    for i in range(pairs):
+        d = _t_then(_t_inv(factors[i]), w0)
+        if (-p - 1 - i) % 2:
+            d = _t_tau(d)
+        extend([-v for v in reversed(_permutation_braid_word(d))])
+    if p + pairs:
+        extend(list(power(half_twist(n), p + pairs).letters))
+    for f in factors[pairs:]:
+        extend(_permutation_braid_word(f))
     return word(n, letters)
 
 

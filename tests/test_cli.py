@@ -328,12 +328,18 @@ def test_parse_error_exit_code(capsys):
     for argv in [["conj", "-n", over, "1", "2"], ["qp", "obstruct", "-n", over, "2"]]:
         assert fails_with_one_line(capsys, argv), argv
     assert run(["qp", "obstruct", "-n", "12", "1"]) == 0
-    # short words whose normal form word passes the letter cap: Δ^-1000 in
-    # B_30 alone is 435 000 letters, Δ^-200 is 87 000 and its factors 86 800
-    # more; Δ^-100 and its factors are 86 900 in all
-    assert fails_with_one_line(capsys, ["nf", "-n", "30", "1^-1000"])
-    assert fails_with_one_line(capsys, ["nf", "-n", "30", "1^-200"])
-    assert run(["nf", "-n", "30", "1^-100"]) == 0
+    # short words whose normal form word passes the letter cap.  In B_30,
+    # x = σ1 σ3 ... σ29 and y = σ2 σ4 ... σ28 have the left lcm Δ, so the
+    # 29 letters of x y^-1 become a left fraction of 841; (x y^-1)^300 would
+    # be 130 500 letters and (x y^-1)^200 is 87 000.  A negative Δ-power is
+    # written with the factors after it: σ1^-1000 (Δ^-1000 and 1000 factors)
+    # comes back as its own 1000 letters.
+    xy = "(%s %s)^" % (" ".join(map(str, range(1, 30, 2))), " ".join(map(str, range(-28, 0, 2))))
+    assert fails_with_one_line(capsys, ["nf", "-n", "30", xy + "300"])
+    assert run(["nf", "-n", "30", xy + "200"]) == 0
+    capsys.readouterr()
+    code, report = run_json(capsys, ["nf", "-n", "30", "1^-1000"])
+    assert code == 0 and report["witnesses"]["word"] == " ".join(["-1"] * 1000)
     # words whose normal form would hold more than garside.MAX_NF_ENTRIES
     # strand entries: 1000 strands times 5001 letters, and a w^100 in B_100
     # of 100 times 600 letters, which periodic refuses before building it
@@ -474,6 +480,44 @@ def test_braid_side_commands_do_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(EVERY_COMMAND)
+
+
+def test_each_command_loads_only_the_submodules_it_runs():
+    # every command in its own fresh interpreter, as users run them: the
+    # package loads a submodule on first use, and the CLI imports the
+    # quasipositive, cabling, cover and check modules only in the commands
+    # that call them
+    braid = {"cli", "words", "garside"}
+    loads = {
+        "qp": braid | {"quasipositive"},
+        "cable": braid | {"quasipositive", "cabling"},
+        "cover": braid | {"cover"},
+        "verify-paper": braid | {"quasipositive", "cabling", "cover", "checks"},
+    }
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import braidforge.cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = braidforge.cli.run(json.loads(sys.argv[1]))
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("braidforge."))]))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for argv in EVERY_COMMAND:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, argv
+        assert modules == sorted(f"braidforge.{m}" for m in loads.get(argv[0], braid)), argv
 
 
 # --- fuzzing every subcommand ---

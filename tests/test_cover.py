@@ -163,6 +163,22 @@ def test_twist_letters_are_checked():
             TwistWord(n, k)
 
 
+def test_cover_size_must_be_an_int():
+    # as for a BraidWord's strand count: a float, bool or string is refused
+    # with ValueError before it reaches range or gcd
+    bad = [2.5, 3.0, True, "3", None]
+    for v in bad:
+        for n, k in [(v, 3), (3, v)]:
+            for build in (cover_data, TwistWord, cover._h1_rank, cover.deck_matrix,
+                          cover.intersection_form, cover.base_change):
+                with pytest.raises(ValueError, match="cover needs int n and k"):
+                    build(n, k)
+        with pytest.raises(ValueError, match="cover needs int n and k"):
+            lift_word(word(3, [1]), v)
+        with pytest.raises(ValueError, match="cover needs int n and k"):
+            cover.burau_at_companion(word(3, [1]), v)
+
+
 # --- intersection form, deck, homology ---
 
 

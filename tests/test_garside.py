@@ -48,6 +48,7 @@ from braidforge.garside import (
     periodic_root,
 )
 from braidforge.words import (
+    MAX_WORD_LETTERS,
     BraidWord,
     Permutation,
     concat,
@@ -228,6 +229,38 @@ def test_nf_to_word_round_trip():
         w = random_word(rng, n, rng.randint(0, 18))
         nf = normal_form(w)
         assert normal_form(nf_to_word(nf)) == nf
+    # Δ^-m ahead of fewer, as many and more factors than m
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        w = concat(power(half_twist(n), -rng.randint(1, 5)), random_word(rng, n, rng.randint(0, 18)))
+        nf = normal_form(w)
+        assert normal_form(nf_to_word(nf)) == nf
+
+
+def test_nf_to_word_pairs_negative_powers_with_factors():
+    # Δ^-m x_1 x_2 ... is written τ^{m-1}(∂x_1)^-1 Δ^-(m-1) x_2 ...: one
+    # inverse permutation braid of n(n-1)/2 - |x_i| letters per pair
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        nf = normal_form(random_word(rng, n, rng.randint(0, 25)))
+        half = n * (n - 1) // 2
+        pairs = min(-nf.delta_power, len(nf.factors)) if nf.delta_power < 0 else 0
+        # a permutation braid has one letter per inversion of its permutation
+        lengths = [sum(a > b for a, b in itertools.combinations(f.images, 2)) for f in nf.factors]
+        expected = (
+            sum(half - x for x in lengths[:pairs])
+            + abs(nf.delta_power + pairs) * half
+            + sum(lengths[pairs:])
+        )
+        assert len(nf_to_word(nf)) == expected
+    assert nf_to_word(normal_form(power(word(5, [2]), -40))) == power(word(5, [2]), -40)
+    # the letter cap is checked before a Δ-power is written out
+    cap = MAX_WORD_LETTERS // 435
+    assert len(nf_to_word(garside.NormalForm(30, -cap, ()))) == cap * 435
+    for p in (cap + 1, -cap - 1, -10**12):
+        with pytest.raises(ValueError, match="more than"):
+            nf_to_word(garside.NormalForm(30, p, ()))
 
 
 def test_nf_group_ops_match_word_ops():
@@ -636,6 +669,12 @@ def test_conjugate_generators():
     res = is_conjugate(word(3, [1]), word(3, [2]))
     assert res.conjugate
     assert is_equal(conjugate(res.witness, word(3, [1])), word(3, [2]))
+    # a negative Δ-power in the witness is paired with its factors, not
+    # written out as n(n-1)/2 inverse letters per Δ
+    for n in (4, 6, 8):
+        res = is_conjugate(word(n, [1]), word(n, [2]))
+        assert len(res.witness) == 2
+        assert is_equal(conjugate(res.witness, word(n, [1])), word(n, [2]))
 
 
 def test_not_conjugate_by_invariants():

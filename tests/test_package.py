@@ -1,8 +1,16 @@
 """
-The package namespace: `import braidforge` imports every submodule, the
-cover layer and the check suite included, and re-exports their public names;
-these are the names `from braidforge import *` gives.
+The package namespace: `import braidforge` imports no submodule.  Each
+public name is looked up in a table of the submodule that defines it, and
+that submodule is imported on first access (PEP 562); these names and the
+submodules are what `from braidforge import *` gives.
 """
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import braidforge
 
@@ -36,9 +44,56 @@ def test_star_import_names():
 
 
 def test_package_names_are_the_submodule_attributes():
-    # the package imports every submodule eagerly and binds their objects
-    # themselves, not copies or forwarding stubs
+    # a name loaded on first access is the submodule's object itself, not a
+    # copy or a forwarding stub
     assert braidforge.homology_rep is braidforge.cover.homology_rep
     assert braidforge.CoverData is braidforge.cover.CoverData
     assert braidforge.run_suite is braidforge.checks.run_suite
     assert not hasattr(braidforge, "no_such_name")
+
+
+def test_names_load_their_submodule_on_first_access():
+    # in a fresh interpreter, so that no other test has loaded a submodule
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import braidforge
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("braidforge."))
+
+        out = {"dir": dir(braidforge), "at_import": loaded()}
+        braidforge.normal_form
+        out["after_normal_form"] = loaded()
+        out["same"] = [
+            name for name, home in braidforge._HOME.items()
+            if getattr(braidforge, name) is getattr(getattr(braidforge, home), name)
+        ]
+        out["submodules"] = [
+            home for home in set(braidforge._HOME.values())
+            if getattr(braidforge, home) is sys.modules["braidforge." + home]
+        ]
+        try:
+            braidforge.no_such_name
+        except AttributeError as err:
+            out["unknown"] = str(err)
+        print(json.dumps(out))
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert STAR_NAMES <= set(out["dir"])
+    assert out["at_import"] == []
+    assert out["after_normal_form"] == ["braidforge.garside", "braidforge.words"]
+    assert sorted(out["same"]) == sorted(braidforge._HOME)
+    assert set(braidforge._HOME) | set(out["submodules"]) == STAR_NAMES
+    assert out["unknown"] == "module 'braidforge' has no attribute 'no_such_name'"

@@ -18,9 +18,9 @@ def test_tracer_installs():
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'bench')!r}); "
-        "import braidforge, spans; spans.Tracer().install(braidforge); "
-        # names the package re-exports from the cover layer and the check
-        # suite come back wrapped too, not only those of their submodules
+        # the package binds a name on first access: run_suite before the
+        # tracer installs, homology_rep after; both come back wrapped
+        "import braidforge, spans; braidforge.run_suite; spans.Tracer().install(braidforge); "
         "reexported = [braidforge.homology_rep, braidforge.run_suite]; "
         "sys.exit(None if all(hasattr(f, '__wrapped__') for f in reexported) "
         "else 're-exported names not wrapped')"

@@ -284,40 +284,54 @@ def _cabled_band_bands(
     """
     m = v.strands
     n = sum(arr)
-    if not v.letters:
-        p, q = arr[j - 1], arr[j]
-        offset = _block_start(arr, j) - 1
-        return [
-            Band(identity_word(n), g + offset)
-            for g in block_transposition(p, q, 1).letters
-        ]
-    # positions in arr of the two tubes this band transposes: the labels that
-    # the conjugator carries to positions j and j+1
-    tau_inv = underlying_permutation(v).inverse()
-    x, y = tau_inv(j), tau_inv(j + 1)
-    head = BraidWord(m, v.letters[:1])
-    tail = BraidWord(m, v.letters[1:])
-    cabled_head, arr_after = _cable_word(head, arr)
-    inner = _cabled_band_bands(arr_after, tail, j)
-    if inner is None:
-        return None
-    # every inner band's conjugator gains a copy of the cabled head
-    _check_letter_count(
-        len(inner) * len(cabled_head) + sum(len(band.conjugator) for band in inner)
-    )
-    bands = [
-        Band(concat(cabled_head, band.conjugator), band.gen_index) for band in inner
-    ]
-    if arr[x - 1] != arr[y - 1]:
-        # the peel closes with the head cabled from the width-swapped
-        # arrangement: X = A·M·A'^{-1} = (A·M·A^{-1})·(A·A'^{-1}); the junk
-        # A·A'^{-1} is absorbable only when it reduces to a positive word
-        swapped_head, _ = _cable_word(head, _swap_positions(arr, x, y))
-        if swapped_head != cabled_head:
-            junk = free_reduce(concat(cabled_head, invert_word(swapped_head)))
-            if any(g < 0 for g in junk.letters):
-                return None
-            bands.extend(Band(identity_word(n), g) for g in junk.letters)
+    # forward: the cable of each letter of v, from the arrangement before it,
+    # and where it starts in the cable of v
+    heads: list[BraidWord] = []
+    starts: list[int] = []
+    total = 0
+    for t in v.letters:
+        head, arr = _cable_word(BraidWord(m, (t,)), arr)
+        starts.append(total)
+        total += len(head)
+        # the whole cable of v conjugates each core band: refuse it before
+        # building past the cap
+        _check_letter_count(total)
+        heads.append(head)
+    p, q = arr[j - 1], arr[j]
+    offset = _block_start(arr, j) - 1
+    core = [t + offset for t in block_transposition(p, q, 1).letters]
+    # backward: peeling letter i prefixes every band so far with its cable.
+    # widths is undone to the arrangement before letter i, and x, y are the
+    # positions there of the two tubes that the rest of v carries to j, j+1.
+    widths = list(arr)
+    x, y = j, j + 1
+    count, letters = len(core), 0  # bands so far and their conjugator letters
+    junk: list[tuple[int, tuple[int, ...]]] = []  # (peel, letters), last peel first
+    for i in range(len(heads) - 1, -1, -1):
+        a = abs(v.letters[i])
+        swap = {a: a + 1, a + 1: a}
+        x, y = swap.get(x, x), swap.get(y, y)
+        widths[a - 1], widths[a] = widths[a], widths[a - 1]
+        letters += count * len(heads[i])
+        _check_letter_count(letters)
+        if widths[x - 1] != widths[y - 1]:
+            # the peel closes with the letter cabled from the width-swapped
+            # arrangement: X = A·M·A'^{-1} = (A·M·A^{-1})·(A·A'^{-1}); the junk
+            # A·A'^{-1} is absorbable only when it reduces to a positive word
+            letter = BraidWord(m, (v.letters[i],))
+            swapped, _ = _cable_word(letter, _swap_positions(tuple(widths), x, y))
+            if swapped != heads[i]:
+                reduced = free_reduce(concat(heads[i], invert_word(swapped))).letters
+                if any(t < 0 for t in reduced):
+                    return None
+                junk.append((i, reduced))
+                count += len(reduced)
+    # a band of peel i is conjugated by the cables of the letters before it
+    conjugator = tuple(t for head in heads for t in head.letters)
+    bands = [Band(BraidWord(n, conjugator), t) for t in core]
+    for i, reduced in junk:
+        prefix = BraidWord(n, conjugator[: starts[i]])
+        bands.extend(Band(prefix, t) for t in reduced)
     return bands
 
 

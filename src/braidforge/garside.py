@@ -423,7 +423,6 @@ def _permutation_braid_word(p: tuple[int, ...]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def half_twist(n: int) -> BraidWord:
     """The positive half twist Δ_n, as the word (σ_1..σ_{n-1})(σ_1..σ_{n-2})...(σ_1).
     Its permutation is i ↦ n+1-i and it has n(n-1)/2 letters."""
@@ -435,7 +434,6 @@ def half_twist(n: int) -> BraidWord:
     return word(n, letters)
 
 
-@lru_cache(maxsize=None)
 def delta_root_word(n: int) -> BraidWord:
     """δ = σ_1 σ_2 ... σ_{n-1}, the periodic element with δ^n = Δ²."""
     if n < 2:
@@ -443,7 +441,6 @@ def delta_root_word(n: int) -> BraidWord:
     return word(n, range(1, n))
 
 
-@lru_cache(maxsize=None)
 def gamma_root_word(n: int) -> BraidWord:
     """γ = σ_1² σ_2 ... σ_{n-1}, the periodic element with γ^{n-1} = Δ²."""
     if n < 2:

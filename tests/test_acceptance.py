@@ -2,8 +2,8 @@
 Acceptance suite: one test per criterion, each timed against its stated
 bound and printing a PASS line (run with `pytest tests/test_acceptance.py -v -s`
 to see them).  The underlying computations live in braidforge.checks, shared
-with the `verify-paper` CLI subcommand; the cached half-twist normal forms
-are warmed up front, since they are one-time set-up rather than
+with the `verify-paper` CLI subcommand; the normal-form cache is warmed on
+the half twists up front, since that is one-time set-up rather than
 per-criterion work.
 """
 

@@ -363,6 +363,14 @@ def test_cable_certificate_unsupported_width_band_raises():
         cable_certificate(tubular_cert, interior_certs, widths)
 
 
+def test_cable_certificate_long_conjugator():
+    # a band conjugated by (σ1 σ2)^600, 1200 letters: the conjugator is
+    # peeled in one loop, with no Python frame per letter
+    cert = QPCertificate(3, (Band(parse_word("(1 2)^600", 3), 1),))
+    for width in (1, 2):
+        _check_cabled(cert, [QPCertificate(width)] * 2, (width,) * 3)
+
+
 # --- JSON ---
 
 

@@ -7,6 +7,7 @@ import argparse
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -372,6 +373,20 @@ def test_parse_error_exit_code(capsys):
         assert fails_with_one_line(capsys, argv), argv
 
 
+def test_cable_cert_of_a_long_conjugator(capsys):
+    # the band's conjugator (1 2)^600 cables letter by letter at widths 1
+    data = {
+        "tubular_cert": {"n": 3, "bands": [{"conj": "(1 2)^600", "gen": 1}]},
+        "interiors": [{"n": 1, "bands": []}] * 2,
+        "widths": [1, 1, 1],
+    }
+    code, report = run_json(capsys, ["cable", "cert", json.dumps(data)])
+    assert code == 0 and report["verdict"]["bands"] == 1
+    # at widths 1 with empty interiors the composite is the tubular braid
+    cabled = qp.certificate_from_json(report["witnesses"]["certificate"])
+    assert qp.verify(cabled, qp.expand(qp.certificate_from_json(data["tubular_cert"])))
+
+
 def test_budget_exit_code(capsys):
     from braidforge.words import conjugate, word
 
@@ -672,3 +687,93 @@ def test_fuzz_every_subcommand(capsys):
             if "--json" in argv:
                 assert json.loads(out)["schema"] == "braidforge/1"
     assert {0, 1} <= codes
+
+
+# --- the report envelope and the README examples ---
+
+# what each command of EVERY_COMMAND echoes as "inputs": every declared
+# argument but --budget and --json, JSON arguments parsed; `cable cert`
+# echoes its JSON object as the whole of inputs
+EVERY_INPUTS = {
+    "nf": {"n": 3, "word": "1 2 1"},
+    "eq": {"n": 4, "word_a": "2 3 -2 1 2 -1", "word_b": "2 1 3 2 -1 -1"},
+    "abel": {"n": 3, "word": "1 -2 1"},
+    "perm": {"n": 3, "word": "1 2"},
+    "positive": {"n": 3, "word": "1 -2"},
+    "periodic": {"n": 3, "word": "1 2"},
+    "conj": {"n": 3, "word_a": "1 2", "word_b": "2 1"},
+    "root": {"n": 3, "d": 2, "word": "(1 2)^3"},
+    "qp expand": {"cert": {"n": 4, "bands": [{"conj": "2", "gen": 3}]}},
+    "qp verify": {"cert": {"n": 4, "bands": [{"conj": "2", "gen": 3}]}, "word": "2 3 -2"},
+    "qp obstruct": {"n": 3, "word": "1 -2"},
+    "qp root": {"n": 3, "d": 2, "word": "(1 2)^3"},
+    "cable assemble": {
+        "rf": {"tubular": "1", "widths": [2, 2], "interiors": [{"orbit": 0, "word": "-1 -1"}]}
+    },
+    "cable normalize": {
+        "assignment": {"tubular": "1", "widths": [2, 2], "positions": ["1", "1"]}
+    },
+    "cable cert": {
+        "widths": [2, 2],
+        "interiors": [{"n": 2, "bands": []}],
+        "tubular_cert": {"n": 2, "bands": [{"conj": "", "gen": 1}]},
+    },
+    "cover data": {"n": 3, "k": 3},
+    "cover lift": {"n": 3, "k": 3, "word": "1 -2"},
+    "cover homrep": {"n": 3, "k": 2, "twistword": "t[1,1]"},
+    "cover deck": {"n": 3, "k": 3},
+    "cover symcheck": {"n": 3, "k": 3, "twistword": "t[1,1] t[1,2]"},
+    "cover ideq": {
+        "n": 3,
+        "k": 2,
+        "twistword_a": "t[1,1] t[2,1] t[1,1]",
+        "twistword_b": "t[2,1] t[1,1] t[2,1]",
+    },
+    "verify-paper": {"seed": 0},
+}
+
+
+def command_path(parser, argv):
+    """The names of the subcommands that argv runs, e.g. ('qp', 'expand')."""
+    path = []
+    for name in argv:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            break
+        path.append(name)
+        parser = subs[0].choices[name]
+    return tuple(path)
+
+
+def test_every_report_has_one_envelope(capsys):
+    parser = build_parser()
+    assert {tuple(c.split()) for c in EVERY_INPUTS} == leaf_commands(parser)
+    for argv in EVERY_COMMAND:
+        code, report = run_json(capsys, argv)
+        command = " ".join(command_path(parser, argv))
+        assert code == 0, argv
+        assert set(report) == {"schema", "command", "inputs", "verdict", "witnesses", "timing_ms"}
+        assert report["schema"] == "braidforge/1"
+        assert report["command"] == command
+        assert report["inputs"] == EVERY_INPUTS[command], command
+        assert isinstance(report["timing_ms"], float)
+
+
+def readme_cli_examples():
+    """The lines of the sh block under README's `## CLI`, without `braidforge`."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert all(line[0] == "braidforge" for line in lines)
+    return [line[1:] for line in lines]
+
+
+def test_readme_cli_examples_run(capsys):
+    examples = readme_cli_examples()
+    parser = build_parser()
+    assert {command_path(parser, argv) for argv in examples} == leaf_commands(parser)
+    for argv in examples:
+        capsys.readouterr()
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv

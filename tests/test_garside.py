@@ -20,6 +20,7 @@ The independent oracles used here:
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,19 @@ def test_half_twist_properties():
         assert all(v > 0 for v in d)
         # the order-reversing permutation i ↦ n+1-i
         assert underlying_permutation(d) == Permutation(tuple(range(n, 0, -1)))
+
+
+def test_half_twist_and_root_words_are_not_kept():
+    # each call builds its word afresh: the words for every n up to 300,
+    # about 35 MB under an unbounded cache, leave nothing alive
+    tracemalloc.start()
+    try:
+        for n in range(2, 301):
+            half_twist(n), delta_root_word(n), gamma_root_word(n)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
 
 
 def test_half_twist_3_exhaustive():

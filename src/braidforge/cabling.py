@@ -4,9 +4,11 @@ braids, their regular forms, and quasipositivity of the composite.
 
 A reducible braid, viewed along an invariant family of tubes, is described by
 a tubular braid on m strands (one per tube), a width per tube (constant along
-each orbit of the tubular permutation), and a braid inside each tube.  The
-composite word is produced by cabling: every tubular crossing becomes a block
-transposition of the two tube widths involved, and the interior braids embed
+each orbit of the tubular permutation), and a braid inside each tube.  A
+cable is one walk of the width arrangement along the tubular word: every
+tubular crossing becomes a block transposition of the two tube widths at its
+positions, placed on the strands of those two blocks, and swaps the two
+widths.  The composite word is the cable with the interior braids embedded
 on the strand blocks.  In regular form all interior braiding of an orbit is
 concentrated in the tube that returns to the orbit's first position, so the
 composite is the cabled tubular word followed by one embedded interior braid
@@ -20,19 +22,18 @@ a braid is reducible or computes invariant multicurves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from typing import Iterable, Iterator
 
 from .garside import is_equal
 from .quasipositive import Band, QPCertificate, QPStatus, expand, obstruct, verify
 from .words import (
     MAX_WORD_LETTERS,
     BraidWord,
-    Permutation,
-    concat,
     conjugate,
     format_word,
     free_reduce,
     identity_word,
-    invert_word,
     parse_word,
     underlying_permutation,
     word,
@@ -63,24 +64,17 @@ def orbit_structure(tubular: BraidWord) -> list[tuple[int, ...]]:
     return underlying_permutation(tubular).cycles()
 
 
-def block_transposition(p: int, q: int, sign: int = 1) -> BraidWord:
+def block_transposition(p: int, q: int) -> BraidWord:
     """
     The crossing of a width-p block over a width-q block in B_{p+q}: the
     positive word ∏_{r=p..1}(σ_r σ_{r+1} ... σ_{r+q-1}) of exactly p·q
-    letters, sending [1..p] to [q+1..q+p] and [p+1..p+q] to [1..q]; its
-    formal inverse for sign -1.  Raises ValueError, before building anything,
-    when p·q exceeds MAX_WORD_LETTERS.
+    letters, sending [1..p] to [q+1..q+p] and [p+1..p+q] to [1..q], which is
+    the cable of σ_1 from the widths (p, q).  Raises ValueError, before
+    building anything, when p·q exceeds MAX_WORD_LETTERS.
     """
     if p < 1 or q < 1:
         raise ValueError(f"block widths must be >= 1, got ({p}, {q})")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    _check_letter_count(p * q)
-    letters = []
-    for r in range(p, 0, -1):
-        letters.extend(range(r, r + q))
-    w = word(p + q, letters)
-    return w if sign == 1 else invert_word(w)
+    return word(p + q, next(_cable((1,), [p, q])))
 
 
 def _check_letter_count(count: int) -> None:
@@ -88,47 +82,46 @@ def _check_letter_count(count: int) -> None:
         raise ValueError(f"cabled word would have {count} letters, more than {MAX_WORD_LETTERS}")
 
 
-def _embed(w: BraidWord, n: int, offset: int) -> BraidWord:
-    """w placed on the strands offset+1 .. offset+w.strands of B_n."""
-    return word(n, (v + offset if v > 0 else v - offset for v in w.letters))
-
-
-def _block_start(arrangement: tuple[int, ...], position: int) -> int:
-    """First strand of the block at the given tube position (1-based)."""
-    return 1 + sum(arrangement[: position - 1])
-
-
-def _cable_word(
-    w: BraidWord, arrangement: tuple[int, ...]
-) -> tuple[BraidWord, tuple[int, ...]]:
+def _cable(letters: Iterable[int], arr: list[int]) -> Iterator[list[int]]:
     """
-    Cable a tubular word starting from the given width arrangement: each
-    crossing becomes a block transposition of the widths currently at its two
-    positions.  Returns the cabled word and the final arrangement; raises
-    ValueError, before building anything, when the word would have more than
-    MAX_WORD_LETTERS letters.
+    Walk a tubular word from a width arrangement, arr, the list of widths at
+    each tube position, which is updated in place as the walk goes: yields each
+    letter's cable, as signed integers.  A crossing at j becomes the block
+    transposition of the widths p, q at j and j+1 (for a negative letter the
+    formal inverse of the q-over-p one), on the strands of those two blocks,
+    and swaps p and q.  Raises ValueError, before building past it, at the
+    first letter that takes the cable past MAX_WORD_LETTERS letters.
     """
+    starts = list(accumulate(arr, initial=0))  # strands before each block
+    total = 0
+    for t in letters:
+        j = abs(t)
+        p, q = arr[j - 1], arr[j]
+        total += p * q
+        _check_letter_count(total)
+        o = starts[j - 1]
+        if t > 0:
+            cable = [o + s for r in range(p, 0, -1) for s in range(r, r + q)]
+        else:
+            cable = [-o - s for r in range(1, q + 1) for s in range(r + p - 1, r - 1, -1)]
+        arr[j - 1], arr[j] = q, p
+        starts[j] = o + q
+        yield cable
+
+
+def _cable_word(w: BraidWord, arrangement: tuple[int, ...]) -> tuple[BraidWord, tuple[int, ...]]:
+    """The cable of a tubular word from the given width arrangement, and the
+    final arrangement."""
     if len(arrangement) != w.strands:
         raise ValueError("arrangement length must match tubular strand count")
-    n = sum(arrangement)
-    # a crossing swaps its two widths and costs their product in letters
     arr = list(arrangement)
-    count = 0
-    for v in w.letters:
-        j = abs(v)
-        count += arr[j - 1] * arr[j]
-        arr[j - 1], arr[j] = arr[j], arr[j - 1]
-    _check_letter_count(count)
-    arr = list(arrangement)
-    letters: list[int] = []
-    for v in w.letters:
-        j = abs(v)
-        p, q = arr[j - 1], arr[j]
-        offset = _block_start(tuple(arr), j) - 1
-        block = block_transposition(p, q, 1) if v > 0 else block_transposition(q, p, -1)
-        letters.extend(g + offset if g > 0 else g - offset for g in block.letters)
-        arr[j - 1], arr[j] = arr[j], arr[j - 1]
-    return word(n, letters), tuple(arr)
+    letters = list(chain.from_iterable(_cable(w.letters, arr)))
+    return word(sum(arrangement), letters), tuple(arr)
+
+
+def _embed(letters: Iterable[int], offset: int) -> list[int]:
+    """Letters moved up by offset strands, onto the block that starts there."""
+    return [v + offset if v > 0 else v - offset for v in letters]
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,8 +138,7 @@ class RegularForm:
     interiors: tuple[BraidWord, ...]
 
     def __post_init__(self):
-        _check_widths(self.tubular, self.widths)
-        orbits = orbit_structure(self.tubular)
+        orbits = _check_widths(self.tubular, self.widths)
         if len(self.interiors) != len(orbits):
             raise ValueError(
                 f"expected {len(orbits)} interior braids, got {len(self.interiors)}"
@@ -179,16 +171,17 @@ class TubePositionAssignment:
                 raise ValueError("interior strand count must equal its tube width")
 
 
-def _check_widths(tubular: BraidWord, widths: tuple[int, ...]) -> None:
+def _check_widths(tubular: BraidWord, widths: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Validate the widths against the tubular braid; returns its orbits."""
     if len(widths) != tubular.strands:
-        raise ValueError(
-            f"expected {tubular.strands} widths, got {len(widths)}"
-        )
+        raise ValueError(f"expected {tubular.strands} widths, got {len(widths)}")
     if not all(isinstance(width, int) and width >= 1 for width in widths):
         raise ValueError("tube widths must be positive integers")
-    for orbit in orbit_structure(tubular):
+    orbits = orbit_structure(tubular)
+    for orbit in orbits:
         if len({widths[a - 1] for a in orbit}) != 1:
             raise ValueError(f"widths not constant along orbit {orbit}")
+    return orbits
 
 
 def assemble(rf: RegularForm) -> BraidWord:
@@ -197,15 +190,14 @@ def assemble(rf: RegularForm) -> BraidWord:
     by each orbit's interior braid embedded, at the end of the word, on the
     strand block of the orbit's first tube position.
     """
-    cabled, final_arr = _cable_word(rf.tubular, rf.widths)
-    if final_arr != rf.widths:  # widths are constant on orbits
+    arr = list(rf.widths)
+    letters = list(chain.from_iterable(_cable(rf.tubular.letters, arr)))
+    if tuple(arr) != rf.widths:  # widths are constant on orbits
         raise AssertionError("internal error: cabling ended on a different width arrangement")
-    n = rf.composite_strands
-    out = cabled
+    offsets = list(accumulate(rf.widths, initial=0))
     for orbit, interior in zip(orbit_structure(rf.tubular), rf.interiors):
-        offset = _block_start(rf.widths, orbit[0]) - 1
-        out = concat(out, _embed(interior, n, offset))
-    return out
+        letters += _embed(interior.letters, offsets[orbit[0] - 1])
+    return word(rf.composite_strands, letters)
 
 
 def assemble_assignment(
@@ -216,14 +208,13 @@ def assemble_assignment(
     interior braiding placed at the start of the word on that tube's starting
     block, followed by the cabled tubular word.
     """
-    _check_widths(tubular, assignment.widths)
-    cabled, _ = _cable_word(tubular, assignment.widths)
-    n = sum(assignment.widths)
-    out = identity_word(n)
-    for j, interior in enumerate(assignment.interiors, start=1):
-        offset = _block_start(assignment.widths, j) - 1
-        out = concat(out, _embed(interior, n, offset))
-    return concat(out, cabled)
+    widths = assignment.widths
+    _check_widths(tubular, widths)
+    letters = []
+    for interior, offset in zip(assignment.interiors, accumulate(widths, initial=0)):
+        letters += _embed(interior.letters, offset)
+    letters += chain.from_iterable(_cable(tubular.letters, list(widths)))
+    return word(sum(widths), letters)
 
 
 def normalize_interiors(
@@ -241,22 +232,20 @@ def normalize_interiors(
     along its tube is conjugation by y embedded at a; the conjugator below is
     the composition of those elementary moves.
     """
-    _check_widths(tubular, assignment.widths)
     widths = assignment.widths
-    n = sum(widths)
-    orbits = orbit_structure(tubular)
-    conjugator = identity_word(n)
+    orbits = _check_widths(tubular, widths)
+    offsets = list(accumulate(widths, initial=0))
+    movers: list[list[int]] = []  # elementary conjugators, applied first to last
     interiors = []
     for orbit in orbits:
-        r = len(orbit)
         # after pushing top interiors through the tubes, the braid of the tube
         # starting at a_j sits at the bottom of block a_{j+1}
-        accumulated = assignment.interiors[orbit[0] - 1]
-        for j in range(1, r):
-            mover = _embed(accumulated, n, _block_start(widths, orbit[j]) - 1)
-            conjugator = concat(mover, conjugator)
-            accumulated = concat(accumulated, assignment.interiors[orbit[j] - 1])
-        interiors.append(accumulated)
+        accumulated = list(assignment.interiors[orbit[0] - 1].letters)
+        for a in orbit[1:]:
+            movers.append(_embed(accumulated, offsets[a - 1]))
+            accumulated += assignment.interiors[a - 1].letters
+        interiors.append(word(widths[orbit[0] - 1], accumulated))
+    conjugator = word(sum(widths), chain.from_iterable(reversed(movers)))
     regular = RegularForm(tubular, widths, tuple(interiors))
     general_word = assemble_assignment(tubular, assignment)
     if not is_equal(conjugate(conjugator, general_word), assemble(regular)):
@@ -264,75 +253,54 @@ def normalize_interiors(
     return regular, conjugator
 
 
-def _swap_positions(arr: tuple[int, ...], x: int, y: int) -> tuple[int, ...]:
-    out = list(arr)
-    out[x - 1], out[y - 1] = out[y - 1], out[x - 1]
-    return tuple(out)
-
-
 def _cabled_band_bands(
     arr: tuple[int, ...], v: BraidWord, j: int
-) -> list[Band] | None:
+) -> tuple[list[Band], tuple[int, ...]] | None:
     """
     Bands multiplying out to the cable of the tubular band v σ_j v^{-1} from
-    the given arrangement, built by peeling letters of v: peeling a letter is
-    sound when its cabled block is insensitive to swapping the widths of the
-    two banded tubes (always true when those widths agree).  Returns None on
-    a stuck peel; the caller falls back to element-level certification, since
-    unequal banded widths make the cable pick up framing contributions that
-    no uniform-conjugator refactoring can absorb.
+    the given arrangement, and the arrangement after the band, built by
+    peeling letters of v, last letter first: peeling a letter is sound when
+    its cable is insensitive to swapping the widths of the two banded tubes
+    (always true when those widths agree).  Returns None on a stuck peel; the
+    caller falls back to element-level certification, since unequal banded
+    widths make the cable pick up framing contributions that no
+    uniform-conjugator refactoring can absorb.
     """
-    m = v.strands
     n = sum(arr)
-    # forward: the cable of each letter of v, from the arrangement before it,
-    # and where it starts in the cable of v
-    heads: list[BraidWord] = []
-    starts: list[int] = []
-    total = 0
-    for t in v.letters:
-        head, arr = _cable_word(BraidWord(m, (t,)), arr)
-        starts.append(total)
-        total += len(head)
-        # the whole cable of v conjugates each core band: refuse it before
-        # building past the cap
-        _check_letter_count(total)
-        heads.append(head)
-    p, q = arr[j - 1], arr[j]
-    offset = _block_start(arr, j) - 1
-    core = [t + offset for t in block_transposition(p, q, 1).letters]
-    # backward: peeling letter i prefixes every band so far with its cable.
-    # widths is undone to the arrangement before letter i, and x, y are the
-    # positions there of the two tubes that the rest of v carries to j, j+1.
-    widths = list(arr)
-    x, y = j, j + 1
+    walk = list(arr)
+    heads = list(_cable(v.letters, walk))
+    p, q = walk[j - 1], walk[j]  # the widths of the two banded tubes
+    core = next(_cable((j,), walk))
+    # a tube keeps its width along v, so v's cable from the arrangement with
+    # the banded tubes swapped differs from heads only when p != q.  Its
+    # inverse is the cable of v^{-1} from the arrangement after the core,
+    # walked lazily in peel order: its letters stay within the peel's count,
+    # and it ends on the arrangement after the band.
+    tails = _cable([-t for t in reversed(v.letters)], walk) if p != q else None
     count, letters = len(core), 0  # bands so far and their conjugator letters
     junk: list[tuple[int, tuple[int, ...]]] = []  # (peel, letters), last peel first
     for i in range(len(heads) - 1, -1, -1):
-        a = abs(v.letters[i])
-        swap = {a: a + 1, a + 1: a}
-        x, y = swap.get(x, x), swap.get(y, y)
-        widths[a - 1], widths[a] = widths[a], widths[a - 1]
         letters += count * len(heads[i])
         _check_letter_count(letters)
-        if widths[x - 1] != widths[y - 1]:
+        if tails is not None:
             # the peel closes with the letter cabled from the width-swapped
             # arrangement: X = A·M·A'^{-1} = (A·M·A^{-1})·(A·A'^{-1}); the junk
             # A·A'^{-1} is absorbable only when it reduces to a positive word
-            letter = BraidWord(m, (v.letters[i],))
-            swapped, _ = _cable_word(letter, _swap_positions(tuple(widths), x, y))
-            if swapped != heads[i]:
-                reduced = free_reduce(concat(heads[i], invert_word(swapped))).letters
-                if any(t < 0 for t in reduced):
-                    return None
+            reduced = free_reduce(word(n, heads[i] + next(tails))).letters
+            if any(t < 0 for t in reduced):
+                return None
+            if reduced:
                 junk.append((i, reduced))
                 count += len(reduced)
     # a band of peel i is conjugated by the cables of the letters before it
-    conjugator = tuple(t for head in heads for t in head.letters)
-    bands = [Band(BraidWord(n, conjugator), t) for t in core]
+    conjugator = tuple(chain.from_iterable(heads))
+    whole = BraidWord(n, conjugator)
+    bands = [Band(whole, t) for t in core]
+    starts = list(accumulate(map(len, heads), initial=0))
     for i, reduced in junk:
         prefix = BraidWord(n, conjugator[: starts[i]])
         bands.extend(Band(prefix, t) for t in reduced)
-    return bands
+    return bands, (arr if tails is None else tuple(walk))
 
 
 def _reduced_conjugator(conjugator: BraidWord, gen_index: int) -> BraidWord:
@@ -345,21 +313,25 @@ def _reduced_conjugator(conjugator: BraidWord, gen_index: int) -> BraidWord:
     return BraidWord(v.strands, tuple(letters))
 
 
-def _certify_cabled_band(arr: tuple[int, ...], band: Band) -> list[Band]:
+def _certify_cabled_band(
+    arr: tuple[int, ...], band: Band, number: int
+) -> tuple[list[Band], tuple[int, ...]]:
+    """Bands of the cable of band number `number` of a tubular certificate
+    from the arrangement, and the arrangement after it."""
     v = _reduced_conjugator(band.conjugator, band.gen_index)
-    bands = _cabled_band_bands(arr, v, band.gen_index)
-    if bands is not None:
-        return bands
+    peeled = _cabled_band_bands(arr, v, band.gen_index)
+    if peeled is not None:
+        return peeled
     # element-level fallback: the cabled band is still quasipositive, but its
     # band structure must be recovered from the element itself
-    cabled, _ = _cable_word(band.to_word(), arr)
+    cabled, after = _cable_word(band.to_word(), arr)
     verdict = obstruct(cabled)
     if verdict.status is QPStatus.QP:
-        return list(verdict.certificate.bands)
+        return list(verdict.certificate.bands), after
     raise ValueError(
         "certificate cabling is not supported for this width configuration: "
-        f"the band with conjugator '{band.conjugator!r}' crosses tubes of "
-        "unequal widths along its conjugator path"
+        f"band {number} (generator {band.gen_index}) of the tubular certificate "
+        "crosses tubes of unequal widths along its conjugator path"
     )
 
 
@@ -381,8 +353,7 @@ def cable_certificate(
     """
     widths = tuple(widths)
     tubular = expand(tubular_cert)
-    _check_widths(tubular, widths)
-    orbits = orbit_structure(tubular)
+    orbits = _check_widths(tubular, widths)
     interior_certs = tuple(interior_certs)
     if len(interior_certs) != len(orbits):
         raise ValueError(f"expected {len(orbits)} interior certificates")
@@ -392,16 +363,17 @@ def cable_certificate(
     n = sum(widths)
     bands: list[Band] = []
     arr = widths
-    for band in tubular_cert.bands:
-        bands.extend(_certify_cabled_band(arr, band))
-        arr = _permute_arrangement(arr, underlying_permutation(band.to_word()))
+    for number, band in enumerate(tubular_cert.bands, start=1):
+        cabled, arr = _certify_cabled_band(arr, band, number)
+        bands.extend(cabled)
     if arr != widths:
         raise AssertionError("internal error: cabled bands ended on a different width arrangement")
+    offsets = list(accumulate(widths, initial=0))
     for orbit, cert in zip(orbits, interior_certs):
-        offset = _block_start(widths, orbit[0]) - 1
+        offset = offsets[orbit[0] - 1]
         for band in cert.bands:
             bands.append(
-                Band(_embed(band.conjugator, n, offset), band.gen_index + offset)
+                Band(word(n, _embed(band.conjugator.letters, offset)), band.gen_index + offset)
             )
     result = QPCertificate(n, tuple(bands))
     composite = assemble(
@@ -410,15 +382,6 @@ def cable_certificate(
     if not verify(result, composite):
         raise AssertionError("internal error: cabled certificate failed verification")
     return result
-
-
-def _permute_arrangement(
-    arr: tuple[int, ...], perm: Permutation
-) -> tuple[int, ...]:
-    out = [0] * len(arr)
-    for pos in range(1, len(arr) + 1):
-        out[perm(pos) - 1] = arr[pos - 1]
-    return tuple(out)
 
 
 # --- JSON interchange ---------------------------------------------------------
@@ -437,7 +400,7 @@ def regular_form_to_json(rf: RegularForm) -> dict:
     }
 
 
-def _tubular_from_json(data) -> tuple[BraidWord, tuple[int, ...]]:
+def _tubular_from_json(data) -> tuple[BraidWord, tuple[int, ...], list[tuple[int, ...]]]:
     if not (
         isinstance(data, dict)
         and isinstance(data.get("tubular"), str)
@@ -446,17 +409,15 @@ def _tubular_from_json(data) -> tuple[BraidWord, tuple[int, ...]]:
         raise ValueError('cabling input must be an object with a "tubular" word and a "widths" list')
     widths = tuple(data["widths"])
     tubular = parse_word(data["tubular"], len(widths))
-    _check_widths(tubular, widths)
-    return tubular, widths
+    return tubular, widths, _check_widths(tubular, widths)
 
 
 def regular_form_from_json(data: dict) -> RegularForm:
     """Inverse of regular_form_to_json; raises ValueError on any other shape."""
-    tubular, widths = _tubular_from_json(data)
+    tubular, widths, orbits = _tubular_from_json(data)
     entries = data.get("interiors", [])
     if not isinstance(entries, list):
         raise ValueError('"interiors" must be a list')
-    orbits = orbit_structure(tubular)
     interiors = [identity_word(widths[orbit[0] - 1]) for orbit in orbits]
     for entry in entries:
         if not (
@@ -475,7 +436,7 @@ def regular_form_from_json(data: dict) -> RegularForm:
 def assignment_from_json(data: dict) -> tuple[BraidWord, TubePositionAssignment]:
     """Read {"tubular": word, "widths": [...], "positions": [word per tube]}, the
     input of `cable normalize`; raises ValueError on any other shape."""
-    tubular, widths = _tubular_from_json(data)
+    tubular, widths, _ = _tubular_from_json(data)
     positions = data.get("positions")
     if not (
         isinstance(positions, list)
@@ -485,4 +446,3 @@ def assignment_from_json(data: dict) -> tuple[BraidWord, TubePositionAssignment]
         raise ValueError('"positions" must be a list of one word per tube position')
     interiors = tuple(parse_word(text, width) for text, width in zip(positions, widths))
     return tubular, TubePositionAssignment(widths, interiors)
-

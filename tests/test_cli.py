@@ -387,6 +387,22 @@ def test_cable_cert_of_a_long_conjugator(capsys):
     assert qp.verify(cabled, qp.expand(qp.certificate_from_json(data["tubular_cert"])))
 
 
+def test_cable_cert_refusal_names_the_band(capsys):
+    # two bands conjugated by a 401-letter word across tubes of widths 1 and 2:
+    # the refusal names the band by its place and generator, not its word
+    data = {
+        "tubular_cert": {"n": 3, "bands": [{"conj": "-2 (1 -2)^200", "gen": 1}] * 2},
+        "interiors": [{"n": 1, "bands": []}, {"n": 2, "bands": []}, {"n": 2, "bands": []}],
+        "widths": [1, 2, 2],
+    }
+    capsys.readouterr()
+    assert run(["cable", "cert", json.dumps(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "band 1 (generator 1)" in err
+    assert len(err.encode()) < 200
+
+
 def test_budget_exit_code(capsys):
     from braidforge.words import conjugate, word
 
@@ -663,6 +679,80 @@ def fuzz_argv(rng, path, leaf):
     return argv
 
 
+def fuzz_letters(rng, n, most):
+    """Up to `most` random letters on n strands, as signed ints."""
+    if n == 1:
+        return []
+    return [rng.choice([-1, 1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, most))]
+
+
+def fuzz_text(letters):
+    return " ".join(map(str, letters))
+
+
+def fuzz_orbits(rng, letters, m):
+    """The orbits of a tubular word on m tubes, each cycle from its smallest
+    position, and widths 1-3 that are constant on them."""
+    tube_at = list(range(1, m + 1))
+    for t in letters:
+        i = abs(t)
+        tube_at[i - 1], tube_at[i] = tube_at[i], tube_at[i - 1]
+    image = {tube: pos for pos, tube in enumerate(tube_at, start=1)}
+    orbits, widths = [], [0] * m
+    for start in range(1, m + 1):
+        if widths[start - 1]:
+            continue
+        orbit, width, a = [], rng.choice([1, 2, 2, 3]), start
+        while not widths[a - 1]:
+            orbit.append(a)
+            widths[a - 1] = width
+            a = image[a]
+        orbits.append(orbit)
+    return orbits, widths
+
+
+def fuzz_bands(rng, n, count, most):
+    """count bands on n strands with conjugators of up to `most` letters."""
+    if n == 1:
+        return []
+    return [(fuzz_letters(rng, n, most), rng.randint(1, n - 1)) for _ in range(count)]
+
+
+def cert_json(n, bands):
+    return {"n": n, "bands": [{"conj": fuzz_text(conj), "gen": gen} for conj, gen in bands]}
+
+
+def fuzz_cable_argv(rng, path):
+    """A well-formed cable input whose widths are constant on the orbits of
+    its tubular word, so that the cabling itself runs."""
+    m = rng.randint(1, 4)
+    if path[1] == "cert":
+        # a band twice has the trivial permutation: its tubes' widths are free
+        bands = fuzz_bands(rng, m, 1, 4) * rng.randint(1, 2)
+        tubular = [t for conj, gen in bands for t in conj + [gen] + [-t for t in reversed(conj)]]
+        orbits, widths = fuzz_orbits(rng, tubular, m)
+        value = {
+            "tubular_cert": cert_json(m, bands),
+            "interiors": [
+                cert_json(w, fuzz_bands(rng, w, rng.randint(0, 2), 2))
+                for w in (widths[orbit[0] - 1] for orbit in orbits)
+            ],
+            "widths": widths,
+        }
+    else:
+        tubular = fuzz_letters(rng, m, 5)
+        orbits, widths = fuzz_orbits(rng, tubular, m)
+        value = {"tubular": fuzz_text(tubular), "widths": widths}
+        if path[1] == "assemble":
+            value["interiors"] = [
+                {"orbit": i, "word": fuzz_text(fuzz_letters(rng, widths[orbit[0] - 1], 3))}
+                for i, orbit in enumerate(orbits)
+            ]
+        else:
+            value["positions"] = [fuzz_text(fuzz_letters(rng, w, 3)) for w in widths]
+    return list(path) + (["--json"] if rng.random() < 0.5 else []) + ["--", json.dumps(value)]
+
+
 def test_fuzz_every_subcommand(capsys):
     # seeded random arguments on every leaf of the parser: no exception
     # escapes, and a library error is exit 1 or 2 with one line on stderr
@@ -673,6 +763,9 @@ def test_fuzz_every_subcommand(capsys):
         leaf = subparser(parser, path)
         trials = 1 if path == ("verify-paper",) else 25
         cases += [fuzz_argv(rng, path, leaf) for _ in range(trials)]
+    # widths constant on the orbits, which random widths rarely are
+    cable_leaves = [path for path in sorted(leaf_commands(parser)) if path[0] == "cable"]
+    cases += [fuzz_cable_argv(rng, path) for path in cable_leaves for _ in range(25)]
     codes = set()
     for argv in cases:
         capsys.readouterr()

@@ -18,10 +18,9 @@ import time
 from functools import cache
 from typing import Callable, NamedTuple
 
-# every command needs these; the other submodules are imported inside the
-# commands that run them, so that a command compiles only what it uses
-from . import garside
-from .garside import BudgetExceededError, DEFAULT_BUDGET
+# every command needs these; the other submodules, garside included, are
+# imported inside the commands that run them, so that a command compiles
+# only what it uses
 from .words import exponent_sum, format_word, parse_word, underlying_permutation
 
 SCHEMA = "braidforge/1"
@@ -34,7 +33,8 @@ OPTIONS = {
     "-n": dict(type=int, required=True, help="strand count"),
     "-k": dict(type=int, required=True, help="cover degree"),
     "-d": dict(type=int, required=True, help="root degree"),
-    "--budget": dict(type=int, default=DEFAULT_BUDGET),
+    # the default, garside.DEFAULT_BUDGET, is filled in by run
+    "--budget": dict(type=int),
     "--seed": dict(type=int, default=0),
 }
 
@@ -60,11 +60,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nf(a):
+    from . import garside
+
     nf = garside.normal_form(parse_word(a.word, a.n))
     return {"normal_form": garside.nf_to_json(nf)}, {"word": format_word(garside.nf_to_word(nf))}
 
 
 def _eq(a):
+    from . import garside
+
     return {"equal": garside.is_equal(parse_word(a.word_a, a.n), parse_word(a.word_b, a.n))}, {}
 
 
@@ -78,14 +82,20 @@ def _perm(a):
 
 
 def _positive(a):
+    from . import garside
+
     return {"positive": garside.is_positive_braid(parse_word(a.word, a.n))}, {}
 
 
 def _periodic(a):
+    from . import garside
+
     return {"periodic": garside.is_periodic(parse_word(a.word, a.n))}, {}
 
 
 def _root(a):
+    from . import garside
+
     root = garside.periodic_root(parse_word(a.word, a.n), a.d, budget=a.budget)
     if root is None:
         return {"found": False}, {}
@@ -94,6 +104,8 @@ def _root(a):
 
 
 def _conj(a):
+    from . import garside
+
     a_word, b_word = parse_word(a.word_a, a.n), parse_word(a.word_b, a.n)
     res = garside.is_conjugate(a_word, b_word, budget=a.budget)
     witnesses = {} if res.witness is None else {"conjugator": format_word(res.witness)}
@@ -334,8 +346,14 @@ def run(argv: list[str]) -> int:
     started = time.perf_counter()
     command = args.leaf
     try:
-        if getattr(args, "budget", 0) < 0:
-            raise ValueError(f"--budget must be >= 0, got {args.budget}")
+        if "--budget" in command.options.split():
+            # every command that takes a budget runs the conjugacy search
+            from .garside import DEFAULT_BUDGET
+
+            if args.budget is None:
+                args.budget = DEFAULT_BUDGET
+            if args.budget < 0:
+                raise ValueError(f"--budget must be >= 0, got {args.budget}")
         inputs = {}
         for dest in [flag.lstrip("-") for flag in command.options.split()] + list(command.positionals):
             if dest in JSON_ARGS:
@@ -359,12 +377,17 @@ def run(argv: list[str]) -> int:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
             command.text(report)
-    except BudgetExceededError as err:
-        print(f"budget exhausted: {err}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except RuntimeError as err:
+        # a command that can exhaust its budget has imported garside
+        from .garside import BudgetExceededError
+
+        if not isinstance(err, BudgetExceededError):
+            raise
+        print(f"budget exhausted: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -13,7 +13,10 @@ transvection x ↦ x + <x, c>·c in the intersection pairing.  Both
 representations are computed letter by letter as sparse column updates of
 the running product: a twist touches the at most six columns of basis curves
 that meet its curve, and a Burau generator the three columns around its
-index.
+index.  The H_1 product keeps each column packed into one Python integer,
+entry r in a signed field r of fixed width, so a twist costs at most six
+big-integer adds; the fields start at 64 bits, double only when the
+entries themselves could outgrow them, and are decoded once at the end.
 
 Two basis curves can pair only when adjacent in the band grid, and the deck
 orbit relation forces the same-column and diagonal pairings between adjacent
@@ -31,8 +34,8 @@ Everything is exact: an integer matrix is a list of rows, each a list of
 Python integers, and a reduced Burau matrix is a dict from each exponent of t
 to its coefficient matrix, with no zero coefficient.  A matrix of rank
 (n-1)(k-1) above MAX_H1_RANK is refused before it is allocated, and so are a
-lift of more than MAX_WORD_LETTERS twists and a Burau matrix of more than
-MAX_BURAU_ENTRIES entries.
+lift of more than MAX_WORD_LETTERS twists, packed H_1 columns of more than
+MAX_H1_BITS bits and a Burau matrix of more than MAX_BURAU_ENTRIES entries.
 Homology-level equality of twist words is a necessary condition for equality
 in the mapping class group, never claimed sufficient.
 """
@@ -40,9 +43,11 @@ in the mapping class group, never claimed sufficient.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from math import gcd
-from operator import add, sub
+from itertools import compress, repeat
+from operator import add, lshift, neg, sub
 
 from .words import MAX_WORD_LETTERS, BraidWord, word
 
@@ -65,8 +70,21 @@ __all__ = [
 ]
 
 # The largest H_1 rank d = (n-1)(k-1) of a matrix built here: a d x d list
-# of small integers takes 8·d² bytes, 32 MB at the cap.
+# of small integers takes 8·d² bytes, 32 MB at the cap, and so do the
+# packed columns `homology_rep` builds it from while their fields are
+# _START_WIDTH = 64 bits wide.
 MAX_H1_RANK = 2000
+
+# The field width, in bits, of a packed H_1 column when a matrix is started;
+# it doubles whenever an entry could outgrow it.  A multiple of 64, since
+# `_unpack` reads whole 64-bit limbs.
+_START_WIDTH = 64
+
+# The most bits, d² times the field width, of the packed columns of one H_1
+# matrix: 128 MB, 256-bit fields at MAX_H1_RANK.  Every field has the width
+# of the largest entry, so entries that grow in a few columns of a large
+# matrix would otherwise widen all d² fields; such a matrix is refused.
+MAX_H1_BITS = 256 * MAX_H1_RANK**2
 
 # The most entries, (n-1)² per power of t, of a reduced Burau matrix: as many
 # as one H_1 matrix at MAX_H1_RANK.  A word of L letters has up to L + 1
@@ -282,32 +300,157 @@ def deck_matrix(n: int, k: int) -> list[list[int]]:
     return _block_diagonal(k - 1, [_companion_power(k, 1)] * (n - 1))
 
 
+def _field_bias(d: int, width: int) -> int:
+    """2^(width-1) in each of d fields of the given width: added to a packed
+    column it makes every field nonnegative, and XOR with it then leaves
+    each field's entry in two's complement."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * d, "little")
+
+
+def _unpack(col: int, d: int, width: int, bias: int) -> list[int]:
+    """The d entries of a packed column, read in one pass over its bytes as
+    64-bit limbs, the top limb of each field signed.  Raises unless every
+    field decodes within [-2^(width-2), 2^(width-2)), where the bounds of
+    `_twist_columns` keep every entry: past that, the entries are lost."""
+    biased = col + bias
+    if biased < 0 or biased.bit_length() > d * width:
+        raise AssertionError("internal error: a packed H_1 column overflows its top field")
+    fields = biased ^ bias
+    # the top two bits of each field, in two's complement, must be equal
+    if (fields ^ (fields << 1)) & bias:
+        raise AssertionError("internal error: a packed H_1 entry outgrew its field")
+    limbs = width // 64
+    layout = "<" + ("Q" * (limbs - 1) + "q") * d
+    values = struct.unpack(layout, fields.to_bytes(d * width // 8, "little"))
+    entries = values[limbs - 1 :: limbs]
+    for i in reversed(range(limbs - 1)):
+        entries = map(add, map(lshift, entries, repeat(64)), values[i::limbs])
+    return list(entries)
+
+
+def _magnitude(entries: list[int]) -> int:
+    """The largest |entry| of a nonempty list."""
+    return max(max(entries), -min(entries))
+
+
+def _pack(entries: list[int], width: int, bias: int) -> int:
+    """The packed column of the entries, each of which fits a signed field."""
+    size = width // 8
+    raw = b"".join(x.to_bytes(size, "little", signed=True) for x in entries)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _twist_columns(w: TwistWord) -> tuple[list[int], int]:
+    """
+    The columns of the H_1 matrix of a twist word, each packed into one
+    Python integer: entry r of a column is field r, of `width` bits, so the
+    column is the sum of entry_r·2^(r·width) and adding two columns adds
+    their entries.  The twist about basis curve e right-multiplies by
+    I ± e·(Je)^T, which adds ±J[j, e] times column e to each of the at most
+    six columns j with J[j, e] != 0: one big-integer add each.  Column e
+    itself never changes, since J[e, e] = 0.
+
+    bounds[j] >= max |entry| of column j, kept by bounds[j] += bounds[e] on
+    each add (the triangle inequality).  Every bound stays below
+    2^(width-2), so every field holds its entry.  When an add would break
+    that, the two bounds are first replaced by their columns' exact maxima,
+    since cancelling letters leave bounds far above the entries; only if
+    they still do not fit is every column re-encoded at twice the width,
+    refused with ValueError past MAX_H1_BITS.  Returns the columns and the
+    width.
+    """
+    d = _h1_rank(w.n, w.k)
+    rows = _pairing_rows(w.n, w.k)
+    width, bias = _START_WIDTH, _field_bias(d, _START_WIDTH)
+    cols = [1 << (j * width) for j in range(d)]
+    bounds = [1] * d
+    limit = 1 << (width - 2)
+    for v in w.letters:
+        e = abs(v) - 1
+        for j, p in rows[e]:
+            if bounds[j] + bounds[e] >= limit:
+                for c in (j, e):
+                    bounds[c] = _magnitude(_unpack(cols[c], d, width, bias))
+                if bounds[j] + bounds[e] >= limit:
+                    width, bias = _widen(cols, bounds, width, bias)
+                    limit = 1 << (width - 2)
+            # J[j, e] = -J[e, j] = -p
+            if v * p > 0:
+                cols[j] -= cols[e]
+            else:
+                cols[j] += cols[e]
+            bounds[j] += bounds[e]
+    return cols, width
+
+
+def _widen(cols: list[int], bounds: list[int], width: int, bias: int) -> tuple[int, int]:
+    """Re-encode every packed column at twice the field width, one column
+    at a time, with exact bounds; returns the new width and its bias."""
+    d = len(cols)
+    wide = 2 * width
+    if d * d * wide > MAX_H1_BITS:
+        raise ValueError(
+            f"H_1 entries of rank {d} need {wide}-bit fields, more than {MAX_H1_BITS} bits in all"
+        )
+    wide_bias = _field_bias(d, wide)
+    for j, col in enumerate(cols):
+        entries = _unpack(col, d, width, bias)
+        bounds[j] = _magnitude(entries)
+        cols[j] = _pack(entries, wide, wide_bias)
+    return wide, wide_bias
+
+
+def _h1_columns(w: TwistWord) -> list[list[int]]:
+    """The columns of the H_1 matrix of a twist word, each decoded once."""
+    cols, width = _twist_columns(w)
+    d = len(cols)
+    bias = _field_bias(d, width)
+    return [_unpack(col, d, width, bias) for col in cols]
+
+
 def homology_rep(w: TwistWord) -> list[list[int]]:
     """
     The integer H_1 matrix of a twist word: the product of the letters'
     transvections in word order (matrices act on column vectors; the map is a
-    homomorphism into matrices multiplied left-to-right).  The twist about
-    basis curve e right-multiplies by I ± e·(Je)^T, which adds ±J[j, e] times
-    column e to each of the at most six columns j with J[j, e] != 0; column e
-    itself never changes, since J[e, e] = 0.  The columns are kept as lists
-    and transposed once at the end.
+    homomorphism into matrices multiplied left-to-right).  The columns are
+    built packed, one integer each (see `_twist_columns`), decoded once and
+    transposed once at the end.
     """
-    cols = _identity(_h1_rank(w.n, w.k))
-    rows = _pairing_rows(w.n, w.k)
-    for v in w.letters:
-        col = cols[abs(v) - 1]
-        for j, p in rows[abs(v) - 1]:
-            # J[j, e] = -J[e, j] = -p
-            cols[j] = list(map(sub if v * p > 0 else add, cols[j], col))
-    return _transpose(cols)
+    return _transpose(_h1_columns(w))
+
+
+def _blocks_times(
+    entries: list[tuple[int, int, int]], rows: list[list[int]], m: int
+) -> list[list[int]]:
+    """The rows of B·X, for B block diagonal with every m x m block given by
+    the same entries (row, column, ±1), at least one in each row, and X
+    given by its rows."""
+    out = []
+    for start in range(0, len(rows), m):
+        block: list = [None] * m
+        for r, c, v in entries:
+            x = rows[start + c]
+            if block[r] is None:
+                block[r] = list(x) if v > 0 else list(map(neg, x))
+            else:
+                block[r] = list(map(add if v > 0 else sub, block[r], x))
+        out.extend(block)
+    return out
 
 
 def symmetry_check(w: TwistWord) -> bool:
     """Necessary condition for the twist word to define a symmetric mapping
-    class: its H_1 matrix commutes with the deck action."""
-    H = homology_rep(w)
-    D = deck_matrix(w.n, w.k)
-    return _mul(H, D) == _mul(D, H)
+    class: its H_1 matrix H commutes with the deck action D.  D has one
+    companion block K per disk gap, so D·H combines rows of H and
+    (H·D)^T = D^T·H^T combines its columns, by the at most 2k - 3 entries
+    of K; no d x d product is formed."""
+    columns = _h1_columns(w)
+    K = _companion_power(w.k, 1)
+    m = w.k - 1
+    K_transpose = [(c, r, v) for r, c, v in K]
+    # (D·H)^T from the rows of H, and (H·D)^T from its columns
+    DH_transpose = _transpose(_blocks_times(K, _transpose(columns), m))
+    return DH_transpose == _blocks_times(K_transpose, columns, m)
 
 
 def check_identity(a: TwistWord, b: TwistWord) -> bool:
@@ -415,28 +558,61 @@ def burau_at_companion(b: BraidWord, k: int) -> list[list[int]]:
 # --- the Burau base change --------------------------------------------------------
 
 
+def _sparse_product(A: list[tuple[int, int, int]], B: list[tuple[int, int, int]]) -> dict:
+    """The nonzero entries {(row, column): value} of A·B, for matrices given
+    by their nonzero entries (row, column, value); an entry given twice
+    counts twice."""
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for s, c, v in B:
+        by_row.setdefault(s, []).append((c, v))
+    out: dict[tuple[int, int], int] = {}
+    for r, s, a in A:
+        for c, v in by_row.get(s, ()):
+            out[r, c] = out.get((r, c), 0) + a * v
+    return {key: v for key, v in out.items() if v}
+
+
 def base_change(n: int, k: int) -> list[list[int]]:
     """
     The unimodular V with homology_rep(lift(b))·V = V·burau_at_companion(b)
     for every braid b on n strands: V = diag(W, W^2, ..., W^{n-1}) with
     W = -K^{-1} = -K^{k-1}, K the companion matrix of 1 + t + ... + t^{k-1},
     so that W^j = (-1)^j K^{-j}.  It is unique up to the commutant of the
-    Burau images.  Before returning, V is checked on every generator σ_i, and
-    W^j·(-K)^j = I on every block, W·(-K) = I first, which makes V unimodular.
+    Burau images.  Before returning, W^j·(-K)^j = I is checked on every
+    block, which makes V unimodular, and V on every generator σ_i as
+    (H_i - I)·V = V·(B_i - I) on the sparse entries: H_i - I from the
+    columns the lift of σ_i changes, and B_i - I from row i of the Burau
+    image of σ_i (`_BURAU_ROW`) at K, less the identity.
     """
     d = _h1_rank(n, k)
     m = k - 1
-    V = _block_diagonal(m, [_companion_power(k, -j, (-1) ** j) for j in range(1, n)])
-    inverse = _block_diagonal(m, [_companion_power(k, j, (-1) ** j) for j in range(1, n)])
-    if _mul(V, inverse) != _identity(d):
-        raise AssertionError(f"internal error: W^j·(-K)^j is not I for (n, k) = ({n}, {k})")
+    blocks = [_companion_power(k, -j, (-1) ** j) for j in range(1, n)]
+    identity = {(r, r): 1 for r in range(m)}
+    for j, block in enumerate(blocks, 1):
+        if _sparse_product(block, _companion_power(k, j, (-1) ** j)) != identity:
+            raise AssertionError(f"internal error: W^{j}·(-K)^{j} is not I for (n, k) = ({n}, {k})")
+    V = [(start + r, start + c, v) for start, block in zip(range(0, d, m), blocks) for r, c, v in block]
     for i in range(1, n):
-        b = word(n, [i])
-        if _mul(homology_rep(lift_word(b, k)), V) != _mul(V, burau_at_companion(b, k)):
+        cols, width = _twist_columns(lift_word(word(n, [i]), k))
+        bias = _field_bias(d, width)
+        changed = []
+        for c, col in enumerate(cols):
+            unit = 1 << (c * width)
+            if col != unit:
+                entries = _unpack(col - unit, d, width, bias)
+                changed.extend((r, c, entries[r]) for r in compress(range(d), entries))
+        row = (i - 1) * m
+        burau = [(row + s, row + s, -1) for s in range(m)]
+        for offset, shift, coefficient in _BURAU_ROW[1]:
+            if 0 < i + offset < n:
+                column = (i - 1 + offset) * m
+                power = _companion_power(k, shift, coefficient)
+                burau.extend((row + s, column + c, v) for s, c, v in power)
+        if _sparse_product(changed, V) != _sparse_product(V, burau):
             raise AssertionError(
                 f"internal error: the Burau base change fails on σ_{i} for (n, k) = ({n}, {k})"
             )
-    return V
+    return _block_diagonal(m, blocks)
 
 
 # --- JSON -----------------------------------------------------------------------

@@ -516,14 +516,16 @@ def test_braid_side_commands_do_not_load_numpy():
 def test_each_command_loads_only_the_submodules_it_runs():
     # every command in its own fresh interpreter, as users run them: the
     # package loads a submodule on first use, and the CLI imports the
-    # quasipositive, cabling, cover and check modules only in the commands
-    # that call them
-    braid = {"cli", "words", "garside"}
+    # garside, quasipositive, cabling, cover and check modules only in the
+    # commands that call them; the cover commands load no Garside code
+    braid = {"cli", "words"}
+    garside = braid | {"garside"}
     loads = {
-        "qp": braid | {"quasipositive"},
-        "cable": braid | {"quasipositive", "cabling"},
+        **{command: garside for command in ("nf", "eq", "positive", "periodic", "root", "conj")},
+        "qp": garside | {"quasipositive"},
+        "cable": garside | {"quasipositive", "cabling"},
         "cover": braid | {"cover"},
-        "verify-paper": braid | {"quasipositive", "cabling", "cover", "checks"},
+        "verify-paper": garside | {"quasipositive", "cabling", "cover", "checks"},
     }
     script = textwrap.dedent(
         """

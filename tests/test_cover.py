@@ -8,6 +8,7 @@ they enter a test.
 
 import copy
 import random
+from operator import add, sub
 
 import numpy as np
 import pytest
@@ -282,6 +283,97 @@ def test_homology_rep_matches_dense_transvections():
             assert np.array_equal(homology_rep(w), expected)
 
 
+def reference_homology_rep(w):
+    """
+    The integer H_1 matrix of a twist word: the product of the letters'
+    transvections in word order (matrices act on column vectors; the map is a
+    homomorphism into matrices multiplied left-to-right).  The twist about
+    basis curve e right-multiplies by I ± e·(Je)^T, which adds ±J[j, e] times
+    column e to each of the at most six columns j with J[j, e] != 0; column e
+    itself never changes, since J[e, e] = 0.  The columns are kept as lists
+    and transposed once at the end.
+    """
+    cols = cover._identity(cover._h1_rank(w.n, w.k))
+    rows = cover._pairing_rows(w.n, w.k)
+    for v in w.letters:
+        col = cols[abs(v) - 1]
+        for j, p in rows[abs(v) - 1]:
+            # J[j, e] = -J[e, j] = -p
+            cols[j] = list(map(sub if v * p > 0 else add, cols[j], col))
+    return cover._transpose(cols)
+
+
+def covers_up_to(top):
+    """Every (n, k) with H_1 rank (n-1)(k-1) at most top."""
+    return [(n, k) for n in range(2, top + 2) for k in range(2, top // (n - 1) + 2)]
+
+
+def random_twist_word(rng, n, k, length):
+    d = (n - 1) * (k - 1)
+    return TwistWord(n, k, tuple(rng.choice([-1, 1]) * rng.randint(1, d) for _ in range(length)))
+
+
+def test_homology_rep_matches_reference_kernel():
+    # the packed kernel against the column-list loop it replaced, on
+    # arbitrary twist words (inverse letters included) and lifts
+    rng = random.Random(43)
+    for n, k in covers_up_to(60):
+        for _ in range(2):
+            w = random_twist_word(rng, n, k, rng.randint(0, 40))
+            assert cover.homology_rep(w) == reference_homology_rep(w), (n, k, w.letters)
+        w = lift_word(random_word(rng, n, rng.randint(0, 20)), k)
+        assert cover.homology_rep(w) == reference_homology_rep(w), (n, k)
+    # long lifts, whose entries outgrow 64- and 128-bit fields: an entry
+    # above 2^126 does not fit before the fields have widened twice
+    largest = 0
+    for n, k, length in [(3, 4, 2000), (4, 5, 1000), (6, 7, 300), (13, 6, 100)]:
+        w = lift_word(random_word(rng, n, length), k)
+        H = cover.homology_rep(w)
+        assert H == reference_homology_rep(w), (n, k, length)
+        largest = max(largest, max(abs(x) for row in H for x in row))
+    assert largest > 2**126
+    # H_1 rank 1000
+    w = lift_word(random_word(rng, 21, 3), 51)
+    assert cover.homology_rep(w) == reference_homology_rep(w)
+
+
+def test_packed_columns_round_trip_and_refuse_overflow():
+    rng = random.Random(47)
+    for width in (64, 128, 256):
+        d = 5
+        bias = cover._field_bias(d, width)
+        top = 2 ** (width - 2)
+        entries = [rng.randint(-top, top - 1) for _ in range(d)]
+        col = cover._pack(entries, width, bias)
+        assert col == sum(x << (r * width) for r, x in enumerate(entries))
+        assert cover._unpack(col, d, width, bias) == entries
+        # a field holding 2^(width-2) or more, or below -2^(width-2), and a
+        # column past its top field are refused with an explicit raise
+        for bad in (top << width, (-top - 1) << width, top, -top - 1, 1 << (d * width), -(1 << (d * width))):
+            with pytest.raises(AssertionError, match="internal error"):
+                cover._unpack(bad, d, width, bias)
+
+
+def test_cancelling_words_do_not_widen(monkeypatch):
+    # braid-relation loops act trivially, but the bounds b_j += b_e grow
+    # exponentially along them; the bounds are tightened to the entries, so
+    # 64-bit fields suffice even at H_1 rank 1000
+    monkeypatch.setattr(cover, "MAX_H1_BITS", 1000 * 1000 * 64)
+    e, f = 1, 2  # t_{1,1} and t_{1,2} meet once
+    w = TwistWord(21, 51, (e, f, e, -f, -e, -f) * 300)
+    assert cover.homology_rep(w) == cover._identity(1000)
+
+
+def test_packed_width_cap(monkeypatch):
+    # entries that outgrow the packed size allowed are refused, not widened
+    rng = random.Random(53)
+    w = lift_word(random_word(rng, 4, 400), 5)
+    assert max(abs(x) for row in cover.homology_rep(w) for x in row) > 2**62
+    monkeypatch.setattr(cover, "MAX_H1_BITS", 12 * 12 * 64)
+    with pytest.raises(ValueError, match="need 128-bit fields, more than 9216 bits"):
+        cover.homology_rep(w)
+
+
 def test_homology_rep_basics():
     assert np.array_equal(
         homology_rep(TwistWord(3, 2)), np.eye(2, dtype=object)
@@ -338,6 +430,24 @@ def test_symmetry_check():
     # a single twist is not symmetric once the deck action is nontrivial
     assert not symmetry_check(TwistWord(3, 3, (twist(1, 1, 3),)))
     assert symmetry_check(TwistWord(3, 3))
+
+
+def test_symmetry_check_matches_products():
+    # oracle: H·D == D·H with both products formed, on lifts, which commute
+    # with the deck action, and on random twist words, most of which do not
+    rng = random.Random(59)
+    seen = set()
+    for n, k in covers_up_to(60):
+        D = cover.deck_matrix(n, k)
+        words = [lift_word(random_word(rng, n, rng.randint(0, 12)), k)]
+        words += [random_twist_word(rng, n, k, rng.randint(1, 8)) for _ in range(2)]
+        for w in words:
+            H = cover.homology_rep(w)
+            expected = cover._mul(H, D) == cover._mul(D, H)
+            assert symmetry_check(w) == expected, (n, k, w.letters)
+            seen.add(expected)
+        assert symmetry_check(words[0])
+    assert seen == {True, False}
 
 
 def test_check_identity_distinguishes():
@@ -459,14 +569,41 @@ def test_cross_oracle_base_change():
 
 
 def test_cross_oracle_base_change_large_covers():
-    # H_1 rank 60 and 60 from both sides of n = k, and 60 again at (13, 6)
+    # H_1 rank 60 and 60 from both sides of n = k, 60 again at (13, 6), and
+    # 1000 at (21, 51)
     rng = random.Random(41)
-    for n, k in [(7, 11), (11, 7), (13, 6)]:
+    for n, k, count in [(7, 11, 6), (11, 7, 6), (13, 6, 6), (21, 51, 2)]:
         V = cover.base_change(n, k)
-        for _ in range(6):
+        for _ in range(count):
             b = random_word(rng, n, rng.randint(0, 24))
             H = cover.homology_rep(lift_word(b, k))
             assert cover._mul(H, V) == cover._mul(V, cover.burau_at_companion(b, k))
+
+
+def test_base_change_checks_every_generator_and_block(monkeypatch):
+    # a wrong lift of the last generator alone is caught ...
+    real_lift = cover.lift_word
+
+    def reversed_last_lift(b, k):
+        w = real_lift(b, k)
+        if b.letters == (b.strands - 1,):
+            return TwistWord(w.n, w.k, w.letters[::-1])
+        return w
+
+    monkeypatch.setattr(cover, "lift_word", reversed_last_lift)
+    with pytest.raises(AssertionError, match="fails on σ_4 for"):
+        cover.base_change(5, 4)
+    monkeypatch.undo()
+    # ... and so is a wrong inverse power in the last block alone
+    real_power = cover._companion_power
+
+    def wrong_last_block(k, e, sign=1):
+        entries = real_power(k, e, sign)
+        return entries[1:] if e == -4 else entries
+
+    monkeypatch.setattr(cover, "_companion_power", wrong_last_block)
+    with pytest.raises(AssertionError, match=r"W\^4·\(-K\)\^4 is not I"):
+        cover.base_change(5, 4)
 
 
 def test_companion_power_is_matrix_power():

@@ -45,6 +45,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from itertools import compress, repeat
 from operator import add, lshift, neg, sub
@@ -260,19 +261,21 @@ def _h1_rank(n: int, k: int) -> int:
 _NEIGHBOURS = ((0, 1, -1), (0, -1, 1), (1, 0, -1), (-1, 0, 1), (1, -1, 1), (-1, 1, -1))
 
 
-def _pairing_rows(n: int, k: int) -> list[list[tuple[int, int]]]:
+@lru_cache(maxsize=8)
+def _pairing_rows(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each basis curve e = e_{i,l} in basis order, the nonzero entries
-    (f, J[e, f]) of its row of the intersection form, f counted from 0."""
+    (f, J[e, f]) of its row of the intersection form, f counted from 0;
+    immutable, so the few covers in use keep theirs."""
     m = k - 1
-    return [
-        [
+    return tuple(
+        tuple(
             ((i + di - 1) * m + l + dl - 1, v)
             for di, dl, v in _NEIGHBOURS
             if 0 < i + di < n and 0 < l + dl < k
-        ]
+        )
         for i in range(1, n)
         for l in range(1, k)
-    ]
+    )
 
 
 def intersection_form(n: int, k: int) -> list[list[int]]:

@@ -18,17 +18,19 @@ level so that letters of one sign stay together), then enters the kernel as
 simple steps, one per maximal run of letters of one sign that is a
 permutation braid (`_simple_steps`).
 
-Conjugacy is decided by reducing both elements into their super summit sets
-(iterated cycling and decycling) and closing one set under conjugation by
+Conjugacy is decided by reducing both elements onto sliding circuits
+(iterated cyclic sliding, Gebhardt & González-Meneses 2010), which lie in
+their super summit sets, and closing one set under conjugation by
 permutation braids, which is complete by the convexity theorem for super
-summit sets.  Each move is one `_normalize` call: cycling is
-Δ^p x_2 ... x_ℓ τ^p(x_1), decycling Δ^p τ^p(x_ℓ) x_1 ... x_{ℓ-1}, and
-conjugation by a simple s is Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s, ∂s = s^{-1}Δ.
-A cycling or decycling phase ends when its orbit comes back to a state, and
-the steps of that loop are dropped from the conjugator.  A conjugator is a
-list of simple steps, and the witness is normalized once, then verified.
-The search carries an explicit node budget; exhausting it raises
-BudgetExceededError rather than guessing.
+summit sets.  Each move is one `_normalize` call: conjugation by a simple s
+is Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s, ∂s = s^{-1}Δ, and a slide is that
+move by the preferred prefix, read off the left-weighted pair (x_ℓ,
+τ^p(x_1)) with no meet.  The reduction ends when a state comes back; the
+loop's steps are dropped from the conjugator and kept as the circuit, any
+state of which the search may land on.  A conjugator is a list of simple
+steps, and the witness is normalized once, then verified.  The search
+carries an explicit node budget; exhausting it raises BudgetExceededError
+rather than guessing.
 
 Normal forms are not confined to desk scale.  Reducing a word is linear in
 its length.  Left-weighting a pair costs O(n) plus O(1) per letter it moves
@@ -38,11 +40,13 @@ after the last one costs one pair; and a factor that becomes Δ goes to the
 front in one step, applying τ to the factors before it.  The conjugacy
 search is: it is written for n up to about 6 or 7 and canonical lengths in
 the tens, since each node it expands normalizes all n! - 1 simple
-conjugates, and it refuses to expand nodes above MAX_SEARCH_STRANDS.  Only
-the conjugates by s in one coset of the centralizer of the target's
-permutation can be the target (48 of 719 for a transposition in S_6), so a
-node tests those first and returns at the first hit; the rest are
-normalized only when the target is not among them.
+conjugates, and it refuses to expand nodes above MAX_SEARCH_STRANDS.  B_n
+maps to ℤ ≀ S_n, each strand coloured by the signed crossings it takes
+part in, and s^{-1} x s can be a state of the circuit only when s carries
+each cycle of x's permutation onto a cycle of that state's with the same
+length and colour sum (48 of 720 in S_6 for σ_1², where the permutation
+alone allows all 720), so a node tests those first and returns at the first
+hit; the rest are normalized only when no state is among them.
 Reducible-braid structure (see `cabling`) is always caller-supplied, never
 detected here.
 """
@@ -63,7 +67,6 @@ from .words import (
     exponent_sum,
     identity_word,
     power,
-    underlying_permutation,
     word,
 )
 
@@ -627,47 +630,64 @@ class ConjugacyResult:
         return self.conjugate
 
 
-def _reduce_to_summit(n: int, x: RawNF) -> tuple[RawNF, list[Step]]:
+def _conjugate_raw(n: int, x: RawNF, s: tuple[int, ...]) -> RawNF:
+    """s^{-1} x s = Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s for a simple s, ∂s = s^{-1}Δ."""
+    p, f = x
+    comp = _t_then(_t_inv(s), _t_w0(n))
+    return _normalize(n, p - 1, [comp if p % 2 else _t_tau(comp), *f, s])
+
+
+def _slide(n: int, x: RawNF) -> tuple[tuple[int, ...], RawNF]:
     """
-    Drive x into its super summit set (maximal inf, then minimal sup) by
-    alternating cycling and decycling phases.  Returns (representative,
-    steps) with representative = g^{-1} · x · g for g the product of steps.
-    A phase ends when its orbit comes back to a state; the steps taken since
-    that state was first seen conjugate it to itself, so they are dropped.
+    One cyclic slide of x = Δ^p x_1 ... x_ℓ with ℓ ≥ 1 (Gebhardt &
+    González-Meneses, Math. Z. 265, 2010): conjugation by the preferred
+    prefix 𝔭(x) = ι(x) ∧ ∂φ(x), where ι(x) = τ^p(x_1) and φ(x) = x_ℓ.  The
+    first factor of a product st of simples is st ∧ Δ = s(t ∧ ∂s), so
+    left-weighting the pair (φ(x), ι(x)) moves exactly 𝔭(x) onto φ(x):
+    𝔭(x) = φ(x)^{-1}a′ for (a′, b′) = _renorm(φ(x), ι(x)), with no meet.
+    Returns (𝔭(x), 𝔭(x)^{-1} x 𝔭(x)); x itself when 𝔭(x) = 1.
+    """
+    p, f = x
+    renorm = _renorm if n <= _RENORM_CACHE_STRANDS else _renorm.__wrapped__
+    last = f[-1]
+    moved, _ = renorm(last, _t_tau(f[0]) if p % 2 else f[0])
+    if moved == last:
+        return _t_identity(n), x
+    prefix = _t_then(_t_inv(last), moved)
+    return prefix, _conjugate_raw(n, x, prefix)
+
+
+def _reduce_to_summit(
+    n: int, x: RawNF
+) -> tuple[RawNF, list[Step], dict[RawNF, list[Step]]]:
+    """
+    Slide x until a state comes back.  The first state seen twice lies on a
+    sliding circuit, and sliding circuits lie in the ultra summit set, hence
+    in the super summit set: maximal inf, minimal sup (Gebhardt &
+    González-Meneses, Math. Z. 265, 2010).  Returns (representative, steps,
+    circuit) with representative = g^{-1} · x · g for g the product of
+    steps.  The steps of the loop are dropped from steps; circuit maps each
+    state of the representative's circuit, in sliding order, to the steps
+    that slide it onto the representative (none for the representative).
     """
     steps: list[Step] = []
-    while True:
-        improved = False
-        # cycling raises inf: Δ^p x_2 ... x_ℓ τ^p(x_1), conjugating by τ^p(x_1);
-        # seen maps each state of the phase to len(steps) when it was reached
-        seen: dict[RawNF, int] = {}
-        while x[1]:
-            if x in seen:
-                del steps[seen[x]:]
-                break
-            seen[x] = len(steps)
-            p, f = x
-            u = _t_tau(f[0]) if p % 2 else f[0]
-            steps.append((u, 1))
-            x = _normalize(n, p, [*f[1:], u])
-            if x[0] > p:
-                improved = True
-                seen.clear()
-        # decycling lowers sup: Δ^p τ^p(x_ℓ) x_1 ... x_{ℓ-1}, conjugating by x_ℓ^{-1}
-        seen = {}
-        while x[1]:
-            if x in seen:
-                del steps[seen[x]:]
-                break
-            seen[x] = len(steps)
-            p, f = x
-            steps.append((f[-1], -1))
-            x = _normalize(n, p, [_t_tau(f[-1]) if p % 2 else f[-1], *f[:-1]])
-            if x[0] + len(x[1]) < p + len(f):
-                improved = True
-                seen.clear()
-        if not improved:
-            return x, steps
+    # seen maps each state, in the order reached, to len(steps) then
+    seen: dict[RawNF, int] = {}
+    while x[1] and x not in seen:
+        seen[x] = len(steps)
+        prefix, y = _slide(n, x)
+        if y == x:
+            break
+        steps.append((prefix, 1))
+        x = y
+    start = seen.get(x, len(steps))
+    loop = steps[start:]
+    del steps[start:]
+    states = list(seen)[start:]
+    circuit = {x: []}
+    for j in range(1, len(loop)):
+        circuit[states[j]] = loop[j:]
+    return x, steps, circuit
 
 
 @lru_cache(maxsize=None)
@@ -688,41 +708,96 @@ def _simple_conjugators(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], 
     return out
 
 
-def _raw_permutation(n: int, x: RawNF) -> tuple[int, ...]:
-    """The image of Δ^p x_1 ... x_ℓ in S_n."""
+# --- the image in ℤ ≀ S_n: each strand coloured by its signed crossings ------
+
+# cycles of a permutation, each keyed by (length, colour sum)
+ColouredCycles = dict[tuple[int, int], tuple[tuple[int, ...], ...]]
+
+
+def _word_colouring(w: BraidWord) -> tuple[tuple[int, ...], list[int]]:
+    """
+    The image of w in ℤ ≀ S_n: its permutation, and for each strand (by
+    starting position) its colour, the sum of ε over the letters σ_i^ε that
+    cross it.  A homomorphism: in a product the colours of the second
+    factor are added along the strands' positions after the first.
+    """
+    n = w.strands
+    strand_at = list(range(n))  # position -> strand, both from 0
+    colours = [0] * n
+    for v in w.letters:
+        i = abs(v)
+        e = 1 if v > 0 else -1
+        left, right = strand_at[i - 1], strand_at[i]
+        colours[left] += e
+        colours[right] += e
+        strand_at[i - 1], strand_at[i] = right, left
+    perm = [0] * n
+    for pos, strand in enumerate(strand_at, 1):
+        perm[strand] = pos
+    return tuple(perm), colours
+
+
+def _raw_colouring(n: int, x: RawNF) -> tuple[tuple[int, ...], list[int]]:
+    """The image of Δ^p x_1 ... x_ℓ in ℤ ≀ S_n (see `_word_colouring`): Δ^p
+    adds p(n-1) to every strand, and a permutation braid adds 1 to both
+    strands of each pair of positions it inverts."""
     p, factors = x
     perm = _t_w0(n) if p % 2 else _t_identity(n)
+    colours = [p * (n - 1)] * n
     for f in factors:
+        crossings = [0] * n
+        for i in range(n - 1):
+            fi = f[i]
+            for j in range(i + 1, n):
+                if f[j] < fi:
+                    crossings[i] += 1
+                    crossings[j] += 1
+        for strand in range(n):
+            colours[strand] += crossings[perm[strand] - 1]
         perm = _t_then(perm, f)
-    return perm
+    return perm, colours
 
 
-def _cycles_by_length(p: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
-    by_length: dict[int, list[tuple[int, ...]]] = {}
-    for cycle in Permutation(p).cycles():
-        by_length.setdefault(len(cycle), []).append(cycle)
-    return by_length
-
-
-def _centralizer(p: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _coloured_cycles(perm: tuple[int, ...], colours: list[int]) -> ColouredCycles:
     """
-    Every permutation c with c p c^{-1} = p: c sends each cycle of p onto a
-    cycle of the same length, keeping its cyclic order.  For m_L cycles of
-    length L there are L^{m_L} · m_L! ways, and the lengths choose
-    independently.
+    The cycles of perm grouped by (length, colour sum).  Conjugation by s
+    sends each cycle of π(x) onto a cycle of π(s^{-1}xs) with the same length
+    and the same colour sum, so the grouping is a conjugacy invariant.
+    """
+    groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for cycle in Permutation(perm).cycles():
+        key = (len(cycle), sum(colours[v - 1] for v in cycle))
+        groups.setdefault(key, []).append(cycle)
+    return {key: tuple(group) for key, group in groups.items()}
+
+
+def _coloured_cycle_type(w: BraidWord) -> list[tuple[int, int]]:
+    """The (length, colour sum) of every cycle of w's image in ℤ ≀ S_n,
+    sorted.  The colour sums add up to twice the exponent sum."""
+    groups = _coloured_cycles(*_word_colouring(w))
+    return sorted(key for key, group in groups.items() for _ in group)
+
+
+def _centralizer(cycles: ColouredCycles) -> list[tuple[int, ...]]:
+    """
+    Every permutation c with c p c^{-1} = p that sends each cycle of p onto
+    a cycle with the same length and colour sum, keeping its cyclic order.
+    For m cycles with one key and length L there are L^m · m! ways, and the
+    keys choose independently.
     """
     blocks = []
-    for length, cycles in _cycles_by_length(p).items():
+    for (length, _), group in cycles.items():
         blocks.append([
             [(a, target[(t + shift) % length])
-             for cycle, target, shift in zip(cycles, order, shifts)
+             for cycle, target, shift in zip(group, order, shifts)
              for t, a in enumerate(cycle)]
-            for order in itertools.permutations(cycles)
-            for shifts in itertools.product(range(length), repeat=len(cycles))
+            for order in itertools.permutations(group)
+            for shifts in itertools.product(range(length), repeat=len(group))
         ])
+    n = sum(length * len(group) for (length, _), group in cycles.items())
     out = []
     for choice in itertools.product(*blocks):
-        images = [0] * len(p)
+        images = [0] * n
         for pairs in choice:
             for a, b in pairs:
                 images[a - 1] = b
@@ -731,22 +806,22 @@ def _centralizer(p: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _compatible_conjugators(
-    px: tuple[int, ...], pb: tuple[int, ...], centralizer: list[tuple[int, ...]]
+    x_cycles: ColouredCycles, target_cycles: ColouredCycles, centralizer: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """
-    Every permutation s with π(s^{-1} x s) = pb when π(x) = px, in
-    lexicographic order.  That permutation is s px s^{-1} (read as maps), so
-    s sends the cycles of px onto those of pb: one such s0 matches the cycles
-    in order, and the rest are c s0 for c in the centralizer of pb.  The
-    cycle types of px and pb must agree.
+    Every permutation s that sends each cycle of π(x) onto a cycle of the
+    target with the same length and colour sum, keeping its cyclic order:
+    the only s for which s^{-1} x s can be the target.  One such s0 matches
+    the cycles of each key in order, and the rest are c s0 for c in the
+    target's coloured centralizer.  The keys of both must agree.
     """
-    targets = _cycles_by_length(pb)
-    images = [0] * len(px)
-    for cycle in Permutation(px).cycles():
-        for a, b in zip(cycle, targets[len(cycle)].pop()):
-            images[a - 1] = b
+    images = [0] * len(centralizer[0])
+    for key, group in x_cycles.items():
+        for cycle, target in zip(group, target_cycles[key]):
+            for a, b in zip(cycle, target):
+                images[a - 1] = b
     s0 = tuple(images)
-    return sorted(_t_then(s0, c) for c in centralizer)
+    return [_t_then(s0, c) for c in centralizer]
 
 
 def is_conjugate(
@@ -754,26 +829,25 @@ def is_conjugate(
 ) -> ConjugacyResult:
     """
     Decide conjugacy of a and b in B_n by super-summit-set enumeration, and
-    produce a witness w with w·a·w^{-1} = b when they are conjugate.  Intended
-    for desk scale; raises BudgetExceededError once `budget` nodes have been
-    expanded, which callers must treat as "unknown", never as "false".
-    Raises ValueError, before the first node is expanded, when the search
-    has to expand nodes on more than MAX_SEARCH_STRANDS strands.
+    produce a witness w with w·a·w^{-1} = b when they are conjugate.  Both
+    are first reduced by iterated cyclic sliding onto sliding circuits, and
+    the search from a's representative ends on any state of b's circuit.
+    Intended for desk scale; raises BudgetExceededError once `budget` nodes
+    have been expanded, which callers must treat as "unknown", never as
+    "false".  Raises ValueError, before the first node is expanded, when the
+    search has to expand nodes on more than MAX_SEARCH_STRANDS strands.
     """
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} vs {b.strands}")
     n = a.strands
-    # cheap conjugacy invariants
-    if exponent_sum(a) != exponent_sum(b):
-        return ConjugacyResult(False, None, 0)
-    cycle_type_a = sorted(len(c) for c in underlying_permutation(a).cycles())
-    cycle_type_b = sorted(len(c) for c in underlying_permutation(b).cycles())
-    if cycle_type_a != cycle_type_b:
+    # cheap conjugacy invariant, read from the words: the image in ℤ ≀ S_n up
+    # to conjugacy, which also fixes the exponent sum
+    if _coloured_cycle_type(a) != _coloured_cycle_type(b):
         return ConjugacyResult(False, None, 0)
 
     raw_b = _raw_normal_form(b)
-    rep_a, steps_a = _reduce_to_summit(n, _raw_normal_form(a))
-    rep_b, steps_b = _reduce_to_summit(n, raw_b)
+    rep_a, steps_a, _ = _reduce_to_summit(n, _raw_normal_form(a))
+    rep_b, steps_b, circuit = _reduce_to_summit(n, raw_b)
     inf0, sup0 = rep_a[0], rep_a[0] + len(rep_a[1])
     if (inf0, sup0) != (rep_b[0], rep_b[0] + len(rep_b[1])):
         return ConjugacyResult(False, None, 0)
@@ -788,8 +862,8 @@ def is_conjugate(
             raise AssertionError("internal error: conjugacy witness failed verification")
         return w
 
-    if rep_a == rep_b:
-        return ConjugacyResult(True, witness_from([]), 0)
+    if rep_a in circuit:
+        return ConjugacyResult(True, witness_from(circuit[rep_a]), 0)
     if n > MAX_SEARCH_STRANDS:
         raise ValueError(
             f"conjugacy search on {n} strands: summit sets are searched on at most "
@@ -797,13 +871,22 @@ def is_conjugate(
         )
 
     # breadth-first search of the summit set: each node keeps its parent and
-    # the simple s with node = s^{-1} · parent · s.  B_n -> S_n is a
-    # homomorphism, so only the s in one coset of the centralizer of
-    # π(rep_b) can give rep_b: a node tries those first, in table order, and
-    # then normalizes the rest for the queue without testing them.
+    # the simple s with node = s^{-1} · parent · s.  B_n -> ℤ ≀ S_n is a
+    # homomorphism, so s^{-1} x s can be a state of the circuit only when s
+    # sends the coloured cycles of π(x) onto that state's: a node tries those
+    # s first, in table order, and then normalizes the rest for the queue
+    # without testing them.  With one colour on a trivial permutation every
+    # s qualifies.
     table = _simple_conjugators(n)
-    pb = _raw_permutation(n, rep_b)
-    centralizer = None if pb == _t_identity(n) else _centralizer(pb)
+    cosets: dict[tuple, tuple[ColouredCycles, list[tuple[int, ...]]]] | None = {}
+    for state in circuit:
+        cycles = _coloured_cycles(*_raw_colouring(n, state))
+        if len(cycles) == 1 and next(iter(cycles))[0] == 1:
+            cosets = None
+            break
+        key = tuple(cycles.items())
+        if key not in cosets:
+            cosets[key] = cycles, _centralizer(cycles)
     parent: dict[RawNF, tuple[RawNF, tuple[int, ...]] | None] = {rep_a: None}
     queue = deque([rep_a])
     nodes = 0
@@ -813,10 +896,15 @@ def is_conjugate(
         x = queue.popleft()
         nodes += 1
         p, f = x
-        compatible = (
-            table if centralizer is None
-            else _compatible_conjugators(_raw_permutation(n, x), pb, centralizer)
-        )
+        if cosets is None:
+            compatible = table
+        else:
+            x_cycles = _coloured_cycles(*_raw_colouring(n, x))
+            compatible = sorted({
+                s
+                for target_cycles, centralizer in cosets.values()
+                for s in _compatible_conjugators(x_cycles, target_cycles, centralizer)
+            })
         tried: dict[tuple[int, ...], RawNF] = {}
         for s in compatible:
             if s not in table:  # the identity
@@ -824,12 +912,12 @@ def is_conjugate(
             comp, tau_comp = table[s]
             # s^{-1} x s = Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s
             y = _normalize(n, p - 1, [comp if p % 2 else tau_comp, *f, s])
-            if y == rep_b:
+            if y in circuit:
                 path = [(s, 1)]
                 while parent[x] is not None:
                     x, s = parent[x]
                     path.append((s, 1))
-                return ConjugacyResult(True, witness_from(path[::-1]), nodes)
+                return ConjugacyResult(True, witness_from(path[::-1] + circuit[y]), nodes)
             tried[s] = y
         for s, (comp, tau_comp) in table.items():
             y = tried.get(s)

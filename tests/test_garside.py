@@ -755,9 +755,10 @@ def test_budget_exhaustion_is_distinct():
 
 def reference_reduce_to_summit(n: int, x):
     """
-    The reference for `garside._reduce_to_summit`: the same cycling and
-    decycling phases, each ended when its orbit comes back to a state, with
-    every step kept, loops included.
+    The super summit reduction before sliding: cycling and decycling phases,
+    each ended when its orbit comes back to a state, with every step kept,
+    loops included.  The reference for the inf and sup of the sliding
+    representatives.
     """
     steps = []
     while True:
@@ -783,26 +784,18 @@ def reference_reduce_to_summit(n: int, x):
             return x, steps
 
 
-def reference_search(a: BraidWord, b: BraidWord, budget: int) -> tuple[bool, int]:
+def summit_search(n: int, rep_a, targets, budget: int) -> tuple[bool, int]:
     """
-    The reference for the verdict and node count of `garside.is_conjugate`:
-    the summit-set search that normalizes s^{-1} x s for every one of the
-    n! - 1 simple s at every node, in lexicographic order, and tests each
-    result against the target.  Raises BudgetExceededError like the search.
+    Breadth-first search of the super summit set from rep_a that normalizes
+    s^{-1} x s for every one of the n! - 1 simple s at every node, in
+    lexicographic order, and tests each result against the targets, all of
+    one inf and sup.  Raises BudgetExceededError like the search.
     """
-    n = a.strands
-
-    def cycle_type(w):
-        return sorted(len(c) for c in underlying_permutation(w).cycles())
-
-    if exponent_sum(a) != exponent_sum(b) or cycle_type(a) != cycle_type(b):
-        return False, 0
-    rep_a, _ = reference_reduce_to_summit(n, garside._raw_normal_form(a))
-    rep_b, _ = reference_reduce_to_summit(n, garside._raw_normal_form(b))
     inf0, sup0 = rep_a[0], rep_a[0] + len(rep_a[1])
-    if (inf0, sup0) != (rep_b[0], rep_b[0] + len(rep_b[1])):
+    target = next(iter(targets))
+    if (inf0, sup0) != (target[0], target[0] + len(target[1])):
         return False, 0
-    if rep_a == rep_b:
+    if rep_a in targets:
         return True, 0
     ident, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
     seen, queue, nodes = {rep_a}, [rep_a], 0
@@ -819,11 +812,43 @@ def reference_search(a: BraidWord, b: BraidWord, budget: int) -> tuple[bool, int
             y = garside._normalize(n, p - 1, [comp if p % 2 else garside._t_tau(comp), *f, s])
             if y[0] != inf0 or y[0] + len(y[1]) != sup0 or y in seen:
                 continue
-            if y == rep_b:
+            if y in targets:
                 return True, nodes
             seen.add(y)
             queue.append(y)
     return False, nodes
+
+
+def reference_search(a: BraidWord, b: BraidWord, budget: int) -> tuple[bool, int]:
+    """
+    The reference for the verdict and node count of `garside.is_conjugate`:
+    the library's coloured invariant, sliding representatives and circuit
+    of b's representative, then `summit_search` aimed at that circuit.
+    """
+    n = a.strands
+    if garside._coloured_cycle_type(a) != garside._coloured_cycle_type(b):
+        return False, 0
+    rep_a, _, _ = garside._reduce_to_summit(n, garside._raw_normal_form(a))
+    _, _, circuit = garside._reduce_to_summit(n, garside._raw_normal_form(b))
+    return summit_search(n, rep_a, circuit, budget)
+
+
+def cycling_reference_search(a: BraidWord, b: BraidWord, budget: int) -> tuple[bool, int]:
+    """
+    The search before sliding, a reference for verdicts only: exponent sum
+    and cycle type as the invariants, cycling and decycling
+    representatives, and b's representative as the one target.
+    """
+    n = a.strands
+
+    def cycle_type(w):
+        return sorted(len(c) for c in underlying_permutation(w).cycles())
+
+    if exponent_sum(a) != exponent_sum(b) or cycle_type(a) != cycle_type(b):
+        return False, 0
+    rep_a, _ = reference_reduce_to_summit(n, garside._raw_normal_form(a))
+    rep_b, _ = reference_reduce_to_summit(n, garside._raw_normal_form(b))
+    return summit_search(n, rep_a, {rep_b}, budget)
 
 
 def conjugate_pairs() -> list[tuple[BraidWord, BraidWord]]:
@@ -841,8 +866,8 @@ def invariant_sharing_pairs() -> list[tuple[BraidWord, BraidWord]]:
     """
     Seeded pairs in B_3 to B_5 that share exponent sum and permutation: a
     pure braid σ_i² σ_j^{-2} is inserted into a, then the word is conjugated.
-    Most are told apart by their summit inf and sup, a few only by the
-    summit-set search.
+    Most are told apart by their crossing colours or their summit inf and
+    sup, a few only by the summit-set search.
     """
     rng = random.Random(90)
     pairs = []
@@ -856,6 +881,33 @@ def invariant_sharing_pairs() -> list[tuple[BraidWord, BraidWord]]:
     return pairs
 
 
+def commutator_pairs() -> list[tuple[BraidWord, BraidWord]]:
+    """
+    Seeded pairs in B_3 to B_5 that share exponent sum, permutation and
+    every strand's crossing count: the commutator σ_i²σ_{i+1}²σ_i^{-2}σ_{i+1}^{-2}
+    of two pure braids is inserted into a at two places, and the second
+    word is conjugated.  Some are conjugate; of the rest, most are told
+    apart by their summit inf and sup, a few only by the summit-set search.
+    """
+    rng = random.Random(91)
+    pairs = []
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        a = list(random_word(rng, n, rng.randint(3, 6)).letters)
+        i = rng.randint(1, n - 2)
+        commutator = [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1]
+        at, other = rng.randint(0, len(a)), rng.randint(0, len(a))
+        pairs.append((
+            word(n, a[:at] + commutator + a[at:]),
+            conjugate(random_word(rng, n, 2), word(n, a[:other] + commutator + a[other:])),
+        ))
+    return pairs
+
+
+def search_corpus() -> list[tuple[BraidWord, BraidWord]]:
+    return conjugate_pairs() + invariant_sharing_pairs() + commutator_pairs()
+
+
 def search_outcome(search, a, b, budget):
     try:
         return search(a, b, budget)
@@ -865,9 +917,8 @@ def search_outcome(search, a, b, budget):
 
 def test_search_matches_reference_search():
     seen = set()
-    corpus = conjugate_pairs() + invariant_sharing_pairs()
     # a budget of 2 nodes, which the larger searches exhaust, and one of 50
-    for (a, b), budget in itertools.product(corpus, (2, 50)):
+    for (a, b), budget in itertools.product(search_corpus(), (2, 50)):
         want = search_outcome(reference_search, a, b, budget)
         res = search_outcome(is_conjugate, a, b, budget)
         if isinstance(res, garside.ConjugacyResult):
@@ -880,12 +931,27 @@ def test_search_matches_reference_search():
     assert seen >= {(True, True), (True, False), (False, True), (False, False), ("budget", True)}
 
 
+def test_search_verdicts_match_cycling_reference():
+    runs = list(itertools.product(search_corpus(), (2, 50)))
+    decided = 0
+    for (a, b), budget in runs:
+        want = search_outcome(cycling_reference_search, a, b, budget)[0]
+        got = search_outcome(is_conjugate, a, b, budget)
+        got = got[0] if isinstance(got, tuple) else got.conjugate
+        if "budget" not in (want, got):
+            assert got == want, (a, b, budget)
+            decided += 1
+    # both sides decide on 593 of the 640 runs
+    assert decided >= 0.9 * len(runs)
+
+
 def test_search_normalize_calls(monkeypatch):
     # the seeded conjugate pairs: 11 208 _normalize calls when every node
     # normalizes all n! - 1 simple conjugates and tests each against the
-    # target, with every cycling loop kept in the summit steps; 8 541 when a
-    # node first tries only the conjugates whose permutation can give the
-    # target and the loops are dropped
+    # target, with every cycling loop kept in the summit steps; 8 541 with
+    # cycling and decycling when a node first tries only the conjugates whose
+    # permutation can give the target; 615 with sliding representatives, the
+    # whole circuit as the target and crossing colours on the permutations
     calls = []
     normalize = garside._normalize
 
@@ -896,42 +962,149 @@ def test_search_normalize_calls(monkeypatch):
     monkeypatch.setattr(garside, "_normalize", counted)
     for a, b in conjugate_pairs():
         assert is_conjugate(a, b).conjugate
-    assert len(calls) <= 9_400
+    assert len(calls) <= 700
 
 
-def test_compatible_conjugators_match_brute_force():
-    rng = random.Random(97)
-    for n in range(2, 7):
-        table = garside._simple_conjugators(n)
-        ident = tuple(range(1, n + 1))
-        for k in range(12):
-            px = ident if k == 0 else tuple(rng.sample(ident, n))
-            u = tuple(rng.sample(ident, n))
-            pb = garside._t_then(garside._t_then(garside._t_inv(u), px), u)
-            want = [
-                s for s in table
-                if garside._t_then(garside._t_then(garside._t_inv(s), px), s) == pb
-            ]
-            got = garside._compatible_conjugators(px, pb, garside._centralizer(pb))
-            assert [s for s in got if s in table] == want, (px, pb)
-            assert len(got) == len(set(got)) == len(want) + (px == pb)
+def inversions(p) -> int:
+    return sum(x > y for x, y in itertools.combinations(p, 2))
+
+
+def prefixes(s) -> set:
+    """
+    Every simple t that left-divides s, by breadth-first search up the weak
+    order: t ≼ s iff len(t) + len(t^{-1}s) = len(s), len counting
+    inversions, and [1, s] is closed under taking prefixes.
+    """
+    n = len(s)
+    length = inversions(s)
+    out = {tuple(range(1, n + 1))}
+    queue = list(out)
+    while queue:
+        t = queue.pop()
+        for i in range(1, n):
+            # t·σ_i: the strands ending at positions i and i+1 swap
+            u = tuple(i + 1 if v == i else i if v == i + 1 else v for v in t)
+            if u in out or inversions(u) != inversions(t) + 1:
+                continue
+            if inversions(u) + inversions(garside._t_then(garside._t_inv(u), s)) == length:
+                out.add(u)
+                queue.append(u)
+    return out
+
+
+def brute_force_meet(a, b):
+    return max(prefixes(a) & prefixes(b), key=inversions)
+
+
+def test_slide_prefix_is_the_meet():
+    # 𝔭(x) = ι(x) ∧ ∂φ(x), read off the pair (φ(x), ι(x)) left-weighted
+    rng = random.Random(103)
+    cases = []
+    for n in (2, 3, 4):
+        cases += itertools.product(itertools.permutations(range(1, n + 1)), repeat=2)
+    for n in (5, 6, 7):
+        cases += [tuple(tuple(rng.sample(range(1, n + 1), n)) for _ in "ab") for _ in range(25)]
+    for last, first in cases:
+        n = len(last)
+        w0 = tuple(range(n, 0, -1))
+        want = brute_force_meet(first, garside._t_then(garside._t_inv(last), w0))
+        moved, _ = garside._renorm.__wrapped__(last, first)
+        assert garside._t_then(garside._t_inv(last), moved) == want, (last, first)
+        # the same prefix from x = Δ^p τ^p(ι) φ, at either parity of p
+        for p in (0, 1):
+            x = (p, (garside._t_tau(first) if p else first, last))
+            assert garside._slide(n, x)[0] == want
 
 
 def test_summit_steps_conjugate_onto_representative():
     rng = random.Random(101)
-    shorter = 0
+    dropped_loops = 0
     for _ in range(150):
         n = rng.randint(3, 6)
         w = random_word(rng, n, rng.randint(1, 12))
         raw = garside._raw_normal_form(w)
-        rep, steps = garside._reduce_to_summit(n, raw)
-        ref_rep, ref_steps = reference_reduce_to_summit(n, raw)
-        assert rep == ref_rep, w
-        assert len(steps) <= len(ref_steps), w
-        shorter += len(steps) < len(ref_steps)
+        rep, steps, circuit = garside._reduce_to_summit(n, raw)
+        ref_rep, _ = reference_reduce_to_summit(n, raw)
+        # the inf and sup of the super summit set
+        assert (rep[0], len(rep[1])) == (ref_rep[0], len(ref_rep[1])), w
         g = nf_to_word(garside._wrap(n, garside._product(n, steps)))
         assert garside._raw_normal_form(concat(concat(invert_word(g), w), g)) == rep, w
-    assert shorter > 0
+        # slide until a state repeats, counting every slide, a trivial one
+        # included: the loop closed by the repeat, one slide per circuit
+        # state, is what the reduction drops
+        slides, x, visited = 0, raw, set()
+        while x[1] and x not in visited:
+            visited.add(x)
+            _, x = garside._slide(n, x)
+            slides += 1
+        assert len(steps) == (slides - len(circuit) if rep[1] else slides), w
+        dropped_loops += len(circuit) > 1
+        # sliding walks the circuit in order and comes back to rep
+        walk, x = [rep], rep
+        while rep[1]:
+            _, x = garside._slide(n, x)
+            if x == rep:
+                break
+            walk.append(x)
+        assert walk == list(circuit), w
+        for state, path in circuit.items():
+            h = nf_to_word(garside._wrap(n, garside._product(n, path)))
+            state_word = nf_to_word(garside._wrap(n, state))
+            assert garside._raw_normal_form(concat(concat(invert_word(h), state_word), h)) == rep
+    assert dropped_loops > 0
+
+
+def test_colouring_is_the_image_in_the_wreath_product():
+    rng = random.Random(107)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        w = random_word(rng, n, rng.randint(0, 14))
+        perm, colours = garside._word_colouring(w)
+        assert perm == underlying_permutation(w).images
+        assert sum(colours) == 2 * exponent_sum(w)
+        assert garside._raw_colouring(n, garside._raw_normal_form(w)) == (perm, colours), w
+        u = random_word(rng, n, rng.randint(0, 6))
+        assert garside._coloured_cycle_type(conjugate(u, w)) == garside._coloured_cycle_type(w)
+
+
+def test_compatible_conjugators_match_brute_force():
+    rng = random.Random(97)
+    table_hits = 0
+    for n in range(2, 7):
+        ident = tuple(range(1, n + 1))
+        words = [word(n, [1] * m) for m in (1, 2, 3, 4)]  # σ_1^m, pure for even m
+        words += [word(n, [1, 1, -(n - 1), -(n - 1)]), identity_word(n)]
+        words += [random_word(rng, n, rng.randint(1, 8)) for _ in range(6)]
+        for w in words:
+            x = garside._raw_normal_form(w)
+            x_cycles = garside._coloured_cycles(*garside._raw_colouring(n, x))
+            for k in range(4):
+                u = ident if k == 0 else tuple(rng.sample(ident, n))
+                target = garside._conjugate_raw(n, x, u) if k else x
+                t_perm, t_colours = garside._raw_colouring(n, target)
+                t_cycles = garside._coloured_cycles(t_perm, t_colours)
+                centralizer = garside._centralizer(t_cycles)
+                coset = garside._compatible_conjugators(x_cycles, t_cycles, centralizer)
+                assert len(coset) == len(set(coset)) == len(centralizer)
+                hits = {
+                    s for s in itertools.permutations(ident)
+                    if garside._conjugate_raw(n, x, s) == target
+                }
+                assert hits <= set(coset), (w, u)
+                table_hits += len(hits)
+                # the coset is every s that carries each cycle onto one of
+                # the same length and colour sum
+                px, colours = garside._raw_colouring(n, x)
+                want = {
+                    s for s in itertools.permutations(ident)
+                    if garside._t_then(garside._t_then(garside._t_inv(s), px), s) == t_perm
+                    and all(
+                        sum(colours[v - 1] for v in c) == sum(t_colours[s[v - 1] - 1] for v in c)
+                        for c in Permutation(px).cycles()
+                    )
+                }
+                assert set(coset) == want, (w, u)
+    assert table_hits > 0
 
 
 def test_search_strand_limit():

@@ -175,7 +175,7 @@ def _check_widths(tubular: BraidWord, widths: tuple[int, ...]) -> list[tuple[int
     """Validate the widths against the tubular braid; returns its orbits."""
     if len(widths) != tubular.strands:
         raise ValueError(f"expected {tubular.strands} widths, got {len(widths)}")
-    if not all(isinstance(width, int) and width >= 1 for width in widths):
+    if not all(type(width) is int and width >= 1 for width in widths):
         raise ValueError("tube widths must be positive integers")
     orbits = orbit_structure(tubular)
     for orbit in orbits:

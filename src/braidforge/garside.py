@@ -44,9 +44,8 @@ conjugates, and it refuses to expand nodes above MAX_SEARCH_STRANDS.  B_n
 maps to ℤ ≀ S_n, each strand coloured by the signed crossings it takes
 part in, and s^{-1} x s can be a state of the circuit only when s carries
 each cycle of x's permutation onto a cycle of that state's with the same
-length and colour sum (48 of 720 in S_6 for σ_1², where the permutation
-alone allows all 720), so a node tests those first and returns at the first
-hit; the rest are normalized only when no state is among them.
+length and colour sum, so a node tests those first and returns at the first
+hit.
 Reducible-braid structure (see `cabling`) is always caller-supplied, never
 detected here.
 """
@@ -100,10 +99,10 @@ DEFAULT_BUDGET = 2000
 # `cable cert` at widths [10, 10, 10] normal-forms 1.8 million.
 MAX_NF_ENTRIES = 5_000_000
 
-# The most strands on which the conjugacy search expands summit-set nodes:
-# each node tries all n! - 1 simple conjugators, and the table of them is
-# built once per n: 40 319 entries in 0.14 s at n = 8, 1.7 s at n = 9 on a
-# 2-core x86-64 VM.
+# The most strands on which the conjugacy search expands summit-set nodes.
+# Each node normalizes all n! - 1 simple conjugates, generated as it goes, so
+# this bounds the time a node takes: 0.9-1.0 s at n = 8 on a 2-core x86-64
+# VM, and nine times as many conjugates at n = 9.
 # Tests, demos, verify-paper and the benchmark expand nodes up to n = 6.
 MAX_SEARCH_STRANDS = 8
 
@@ -148,9 +147,11 @@ def _t_tau(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([m - v for v in reversed(p)])
 
 
-# The most pairs the _renorm cache keeps: twice the 26 000-28 000 pairs that
-# the benchmark's conj-qp workload reuses round after round.  A cache smaller
-# than a reused working set evicts each pair before its next use.
+# The most pairs the _renorm cache keeps.  The benchmark's conj-qp workload
+# reuses about 4 300 pairs round after round, but summit-set searches at
+# n = 7 fill the cache, and a smaller one misses more there: five 3-node
+# searches in B_7 make 178 553 misses at this size and 239 118 at 8 192
+# entries, and take 1.4 s against 1.5-1.8 s on a 2-core x86-64 VM.
 _RENORM_CACHE_SIZE = 1 << 16
 
 # The most strands of a pair the cache keeps, so that a full cache holds
@@ -605,10 +606,7 @@ def periodic_root(
         if ab % (d * base_ab):
             continue
         root = PeriodicRoot(n, kind, ab // (d * base_ab), identity_word(n))
-        c_power = power(root.to_word(), d)
-        if is_equal(c_power, w):
-            return root
-        res = is_conjugate(c_power, w, budget=budget)
+        res = is_conjugate(power(root.to_word(), d), w, budget=budget)
         if res.conjugate:
             return replace(root, conjugator=res.witness)
     return None
@@ -631,10 +629,20 @@ class ConjugacyResult:
 
 
 def _conjugate_raw(n: int, x: RawNF, s: tuple[int, ...]) -> RawNF:
-    """s^{-1} x s = Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s for a simple s, ∂s = s^{-1}Δ."""
+    """
+    s^{-1} x s = Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s for a simple s, ∂s = s^{-1}Δ.
+    The first factor is written in one pass over s, with no inverse formed:
+    ∂s(i) = n + 1 - s^{-1}(i) and τ(∂s)(i) = s^{-1}(n + 1 - i).
+    """
     p, f = x
-    comp = _t_then(_t_inv(s), _t_w0(n))
-    return _normalize(n, p - 1, [comp if p % 2 else _t_tau(comp), *f, s])
+    first = [0] * n
+    if p % 2:
+        for i, v in enumerate(s):
+            first[v - 1] = n - i
+    else:
+        for i, v in enumerate(s, 1):
+            first[n - v] = i
+    return _normalize(n, p - 1, [tuple(first), *f, s])
 
 
 def _slide(n: int, x: RawNF) -> tuple[tuple[int, ...], RawNF]:
@@ -688,24 +696,6 @@ def _reduce_to_summit(
     for j in range(1, len(loop)):
         circuit[states[j]] = loop[j:]
     return x, steps, circuit
-
-
-@lru_cache(maxsize=None)
-def _simple_conjugators(n: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """
-    s -> (∂s, τ(∂s)) for every nontrivial permutation braid s, with
-    ∂s = s^{-1}Δ, in lexicographic order of s: the order the summit-set
-    search tries them.  Built once per n; is_conjugate allows n up to
-    MAX_SEARCH_STRANDS.
-    """
-    ident = _t_identity(n)
-    w0 = _t_w0(n)
-    out = {}
-    for s in itertools.permutations(range(1, n + 1)):
-        if s != ident:
-            comp = _t_then(_t_inv(s), w0)
-            out[s] = (comp, _t_tau(comp))
-    return out
 
 
 # --- the image in ℤ ≀ S_n: each strand coloured by its signed crossings ------
@@ -778,23 +768,25 @@ def _coloured_cycle_type(w: BraidWord) -> list[tuple[int, int]]:
     return sorted(key for key, group in groups.items() for _ in group)
 
 
-def _centralizer(cycles: ColouredCycles) -> list[tuple[int, ...]]:
+def _matchings(source: ColouredCycles, target: ColouredCycles) -> list[tuple[int, ...]]:
     """
-    Every permutation c with c p c^{-1} = p that sends each cycle of p onto
-    a cycle with the same length and colour sum, keeping its cyclic order.
-    For m cycles with one key and length L there are L^m · m! ways, and the
-    keys choose independently.
+    Every permutation s that carries each cycle of source onto a cycle of
+    target with the same length and colour sum, keeping its cyclic order.
+    When source holds the coloured cycles of x, these are the only s for
+    which s^{-1} x s can have target's.  For m cycles with one key and
+    length L there are L^m · m! ways, and the keys choose independently.
+    The keys of both must agree.
     """
     blocks = []
-    for (length, _), group in cycles.items():
+    for (length, colour), group in source.items():
         blocks.append([
-            [(a, target[(t + shift) % length])
-             for cycle, target, shift in zip(group, order, shifts)
+            [(a, image[(t + shift) % length])
+             for cycle, image, shift in zip(group, order, shifts)
              for t, a in enumerate(cycle)]
-            for order in itertools.permutations(group)
+            for order in itertools.permutations(target[length, colour])
             for shifts in itertools.product(range(length), repeat=len(group))
         ])
-    n = sum(length * len(group) for (length, _), group in cycles.items())
+    n = sum(length * len(group) for (length, _), group in source.items())
     out = []
     for choice in itertools.product(*blocks):
         images = [0] * n
@@ -803,25 +795,6 @@ def _centralizer(cycles: ColouredCycles) -> list[tuple[int, ...]]:
                 images[a - 1] = b
         out.append(tuple(images))
     return out
-
-
-def _compatible_conjugators(
-    x_cycles: ColouredCycles, target_cycles: ColouredCycles, centralizer: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """
-    Every permutation s that sends each cycle of π(x) onto a cycle of the
-    target with the same length and colour sum, keeping its cyclic order:
-    the only s for which s^{-1} x s can be the target.  One such s0 matches
-    the cycles of each key in order, and the rest are c s0 for c in the
-    target's coloured centralizer.  The keys of both must agree.
-    """
-    images = [0] * len(centralizer[0])
-    for key, group in x_cycles.items():
-        for cycle, target in zip(group, target_cycles[key]):
-            for a, b in zip(cycle, target):
-                images[a - 1] = b
-    s0 = tuple(images)
-    return [_t_then(s0, c) for c in centralizer]
 
 
 def is_conjugate(
@@ -873,20 +846,18 @@ def is_conjugate(
     # breadth-first search of the summit set: each node keeps its parent and
     # the simple s with node = s^{-1} · parent · s.  B_n -> ℤ ≀ S_n is a
     # homomorphism, so s^{-1} x s can be a state of the circuit only when s
-    # sends the coloured cycles of π(x) onto that state's: a node tries those
-    # s first, in table order, and then normalizes the rest for the queue
-    # without testing them.  With one colour on a trivial permutation every
-    # s qualifies.
-    table = _simple_conjugators(n)
-    cosets: dict[tuple, tuple[ColouredCycles, list[tuple[int, ...]]]] | None = {}
+    # carries the coloured cycles of π(x) onto that state's: a node tries
+    # those s first, in lexicographic order, and then normalizes the rest for
+    # the queue without testing them.  With one colour on a trivial
+    # permutation every s qualifies.
+    ident = _t_identity(n)
+    targets: dict[tuple, ColouredCycles] | None = {}
     for state in circuit:
         cycles = _coloured_cycles(*_raw_colouring(n, state))
         if len(cycles) == 1 and next(iter(cycles))[0] == 1:
-            cosets = None
+            targets = None
             break
-        key = tuple(cycles.items())
-        if key not in cosets:
-            cosets[key] = cycles, _centralizer(cycles)
+        targets.setdefault(tuple(cycles.items()), cycles)
     parent: dict[RawNF, tuple[RawNF, tuple[int, ...]] | None] = {rep_a: None}
     queue = deque([rep_a])
     nodes = 0
@@ -895,23 +866,18 @@ def is_conjugate(
             raise BudgetExceededError(nodes)
         x = queue.popleft()
         nodes += 1
-        p, f = x
-        if cosets is None:
-            compatible = table
+        if targets is None:
+            compatible = itertools.permutations(ident)
         else:
             x_cycles = _coloured_cycles(*_raw_colouring(n, x))
             compatible = sorted({
-                s
-                for target_cycles, centralizer in cosets.values()
-                for s in _compatible_conjugators(x_cycles, target_cycles, centralizer)
+                s for target in targets.values() for s in _matchings(x_cycles, target)
             })
         tried: dict[tuple[int, ...], RawNF] = {}
         for s in compatible:
-            if s not in table:  # the identity
+            if s == ident:
                 continue
-            comp, tau_comp = table[s]
-            # s^{-1} x s = Δ^{p-1} τ^{p-1}(∂s) x_1 ... x_ℓ s
-            y = _normalize(n, p - 1, [comp if p % 2 else tau_comp, *f, s])
+            y = _conjugate_raw(n, x, s)
             if y in circuit:
                 path = [(s, 1)]
                 while parent[x] is not None:
@@ -919,10 +885,12 @@ def is_conjugate(
                     path.append((s, 1))
                 return ConjugacyResult(True, witness_from(path[::-1] + circuit[y]), nodes)
             tried[s] = y
-        for s, (comp, tau_comp) in table.items():
+        for s in itertools.permutations(ident):
+            if s == ident:
+                continue
             y = tried.get(s)
             if y is None:
-                y = _normalize(n, p - 1, [comp if p % 2 else tau_comp, *f, s])
+                y = _conjugate_raw(n, x, s)
             if y[0] != inf0 or y[0] + len(y[1]) != sup0 or y in parent:
                 continue
             parent[y] = (x, s)

@@ -288,6 +288,9 @@ def test_parse_error_exit_code(capsys):
     # strand counts that are bools: true is not the strand count 1
     assert fails_with_one_line(capsys, ["qp", "expand", '{"n":true,"bands":[]}'])
     assert fails_with_one_line(capsys, ["cable", "assemble", '{"tubular":"","widths":[true, 2]}'])
+    bool_widths = ('{"tubular_cert":{"n":2,"bands":[{"conj":"","gen":1}]},'
+                   '"interiors":[{"n":1,"bands":[]}],"widths":[true,true]}')
+    assert fails_with_one_line(capsys, ["cable", "cert", bool_widths])
     # a word that expands past the letter cap
     assert fails_with_one_line(capsys, ["abel", "-n", "3", "((1^1000 2)^1000)^3"])
     # cabled words past the letter cap: one 600 x 600 crossing, or five of 200 x 200

@@ -19,6 +19,7 @@ The independent oracles used here:
 """
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -1083,9 +1084,12 @@ def test_compatible_conjugators_match_brute_force():
                 target = garside._conjugate_raw(n, x, u) if k else x
                 t_perm, t_colours = garside._raw_colouring(n, target)
                 t_cycles = garside._coloured_cycles(t_perm, t_colours)
-                centralizer = garside._centralizer(t_cycles)
-                coset = garside._compatible_conjugators(x_cycles, t_cycles, centralizer)
-                assert len(coset) == len(set(coset)) == len(centralizer)
+                coset = garside._matchings(x_cycles, t_cycles)
+                count = math.prod(
+                    length ** len(group) * math.factorial(len(group))
+                    for (length, _), group in t_cycles.items()
+                )
+                assert len(coset) == len(set(coset)) == count
                 hits = {
                     s for s in itertools.permutations(ident)
                     if garside._conjugate_raw(n, x, s) == target

@@ -419,16 +419,20 @@ def regular_form_from_json(data: dict) -> RegularForm:
     if not isinstance(entries, list):
         raise ValueError('"interiors" must be a list')
     interiors = [identity_word(widths[orbit[0] - 1]) for orbit in orbits]
+    given: set[int] = set()
     for entry in entries:
         if not (
             isinstance(entry, dict)
-            and isinstance(entry.get("orbit"), int)
+            and type(entry.get("orbit")) is int
             and isinstance(entry.get("word"), str)
         ):
             raise ValueError('each interior must be an object with an integer "orbit" and a "word"')
         i = entry["orbit"]
         if not 0 <= i < len(orbits):
             raise ValueError(f"orbit {i} out of range: the tubular braid has {len(orbits)} orbits")
+        if i in given:
+            raise ValueError(f"orbit {i} is given more than one interior")
+        given.add(i)
         interiors[i] = parse_word(entry["word"], widths[orbits[i][0] - 1])
     return RegularForm(tubular, widths, tuple(interiors))
 

@@ -45,7 +45,8 @@ maps to ℤ ≀ S_n, each strand coloured by the signed crossings it takes
 part in, and s^{-1} x s can be a state of the circuit only when s carries
 each cycle of x's permutation onto a cycle of that state's with the same
 length and colour sum, so a node tests those first and returns at the first
-hit.
+hit.  The colours are read once from each input word and carried by
+relabelling: conjugation by s moves each cycle c to s(c).
 Reducible-braid structure (see `cabling`) is always caller-supplied, never
 detected here.
 """
@@ -727,27 +728,6 @@ def _word_colouring(w: BraidWord) -> tuple[tuple[int, ...], list[int]]:
     return tuple(perm), colours
 
 
-def _raw_colouring(n: int, x: RawNF) -> tuple[tuple[int, ...], list[int]]:
-    """The image of Δ^p x_1 ... x_ℓ in ℤ ≀ S_n (see `_word_colouring`): Δ^p
-    adds p(n-1) to every strand, and a permutation braid adds 1 to both
-    strands of each pair of positions it inverts."""
-    p, factors = x
-    perm = _t_w0(n) if p % 2 else _t_identity(n)
-    colours = [p * (n - 1)] * n
-    for f in factors:
-        crossings = [0] * n
-        for i in range(n - 1):
-            fi = f[i]
-            for j in range(i + 1, n):
-                if f[j] < fi:
-                    crossings[i] += 1
-                    crossings[j] += 1
-        for strand in range(n):
-            colours[strand] += crossings[perm[strand] - 1]
-        perm = _t_then(perm, f)
-    return perm, colours
-
-
 def _coloured_cycles(perm: tuple[int, ...], colours: list[int]) -> ColouredCycles:
     """
     The cycles of perm grouped by (length, colour sum).  Conjugation by s
@@ -761,11 +741,13 @@ def _coloured_cycles(perm: tuple[int, ...], colours: list[int]) -> ColouredCycle
     return {key: tuple(group) for key, group in groups.items()}
 
 
-def _coloured_cycle_type(w: BraidWord) -> list[tuple[int, int]]:
-    """The (length, colour sum) of every cycle of w's image in ℤ ≀ S_n,
-    sorted.  The colour sums add up to twice the exponent sum."""
-    groups = _coloured_cycles(*_word_colouring(w))
-    return sorted(key for key, group in groups.items() for _ in group)
+def _relabel(cycles: ColouredCycles, s: tuple[int, ...]) -> ColouredCycles:
+    """The coloured cycles of s^{-1} x s from those of x: conjugation by s
+    carries each cycle c of π(x) onto s(c), keeping its colour sum."""
+    return {
+        key: tuple(tuple(s[v - 1] for v in cycle) for cycle in group)
+        for key, group in cycles.items()
+    }
 
 
 def _matchings(source: ColouredCycles, target: ColouredCycles) -> list[tuple[int, ...]]:
@@ -815,7 +797,9 @@ def is_conjugate(
     n = a.strands
     # cheap conjugacy invariant, read from the words: the image in ℤ ≀ S_n up
     # to conjugacy, which also fixes the exponent sum
-    if _coloured_cycle_type(a) != _coloured_cycle_type(b):
+    a_cycles = _coloured_cycles(*_word_colouring(a))
+    b_cycles = _coloured_cycles(*_word_colouring(b))
+    if {k: len(g) for k, g in a_cycles.items()} != {k: len(g) for k, g in b_cycles.items()}:
         return ConjugacyResult(False, None, 0)
 
     raw_b = _raw_normal_form(b)
@@ -848,16 +832,26 @@ def is_conjugate(
     # homomorphism, so s^{-1} x s can be a state of the circuit only when s
     # carries the coloured cycles of π(x) onto that state's: a node tries
     # those s first, in lexicographic order, and then normalizes the rest for
-    # the queue without testing them.  With one colour on a trivial
-    # permutation every s qualifies.
+    # the queue without testing them.  The coloured cycles read from the
+    # words are carried by relabelling: along the slides onto rep_a and
+    # rep_b, back along each state's path (state = g rep_b g^{-1} for g its
+    # product), and from a node's parent through its s.  Their keys are a
+    # conjugacy invariant: with one colour on a trivial permutation every s
+    # qualifies.
     ident = _t_identity(n)
-    targets: dict[tuple, ColouredCycles] | None = {}
-    for state in circuit:
-        cycles = _coloured_cycles(*_raw_colouring(n, state))
-        if len(cycles) == 1 and next(iter(cycles))[0] == 1:
-            targets = None
-            break
-        targets.setdefault(tuple(cycles.items()), cycles)
+    targets: list[ColouredCycles] | None = None
+    if not (len(b_cycles) == 1 and next(iter(b_cycles))[0] == 1):
+        for s, _ in steps_a:
+            a_cycles = _relabel(a_cycles, s)
+        for s, _ in steps_b:
+            b_cycles = _relabel(b_cycles, s)
+        targets = []
+        for path in circuit.values():
+            state_cycles = b_cycles
+            for s, _ in reversed(path):
+                state_cycles = _relabel(state_cycles, _t_inv(s))
+            targets.append(state_cycles)
+    cycles = {rep_a: a_cycles}  # of the expanded nodes
     parent: dict[RawNF, tuple[RawNF, tuple[int, ...]] | None] = {rep_a: None}
     queue = deque([rep_a])
     nodes = 0
@@ -869,10 +863,10 @@ def is_conjugate(
         if targets is None:
             compatible = itertools.permutations(ident)
         else:
-            x_cycles = _coloured_cycles(*_raw_colouring(n, x))
-            compatible = sorted({
-                s for target in targets.values() for s in _matchings(x_cycles, target)
-            })
+            if x not in cycles:
+                up, s = parent[x]
+                cycles[x] = _relabel(cycles[up], s)
+            compatible = sorted({s for target in targets for s in _matchings(cycles[x], target)})
         tried: dict[tuple[int, ...], RawNF] = {}
         for s in compatible:
             if s == ident:

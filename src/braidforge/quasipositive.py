@@ -192,8 +192,6 @@ def obstruct(b: BraidWord, budget: int = DEFAULT_BUDGET) -> QPVerdict:
     if ab == 0:
         return QPVerdict(QPStatus.NOT_QP, NotQPReason.ZERO_EXPONENT_NONIDENTITY)
     if ab == 1:
-        if n < 2:
-            return QPVerdict(QPStatus.NOT_QP, NotQPReason.ABELIANIZATION_ONE_NOT_BAND)
         try:
             res = is_conjugate(word(n, [1]), b, budget=budget)
         except BudgetExceededError:

@@ -253,6 +253,8 @@ def test_parse_error_exit_code(capsys):
         '{"tubular": "1", "widths": [2, 2], "interiors": [1]}',
         '{"tubular": "1", "widths": [2, 2], "interiors": [{"orbit": 5, "word": "1"}]}',
         '{"tubular": "1", "widths": [2, 2], "interiors": [{"orbit": -1, "word": "1"}]}',
+        '{"tubular": "1", "widths": [1, 1, 2], "interiors": [{"orbit": true, "word": "1"}]}',
+        '{"tubular": "1", "widths": [2, 2], "interiors": [{"orbit": 0, "word": "1"}, {"orbit": 0, "word": "-1"}]}',
     ]:
         assert fails_with_one_line(capsys, ["cable", "assemble", rf]), rf
     for assignment in [

@@ -820,6 +820,22 @@ def summit_search(n: int, rep_a, targets, budget: int) -> tuple[bool, int]:
     return False, nodes
 
 
+def coloured_keys(w: BraidWord) -> list[tuple[int, int]]:
+    """The (length, colour sum) of every cycle of w's image in ℤ ≀ S_n, sorted."""
+    groups = garside._coloured_cycles(*garside._word_colouring(w))
+    return sorted(key for key, group in groups.items() for _ in group)
+
+
+def canonical_cycles(groups) -> dict:
+    """Coloured cycles up to the rotation of each cycle and the order within a key."""
+
+    def rotated(cycle):
+        start = cycle.index(min(cycle))
+        return cycle[start:] + cycle[:start]
+
+    return {key: sorted(map(rotated, group)) for key, group in groups.items()}
+
+
 def reference_search(a: BraidWord, b: BraidWord, budget: int) -> tuple[bool, int]:
     """
     The reference for the verdict and node count of `garside.is_conjugate`:
@@ -827,7 +843,7 @@ def reference_search(a: BraidWord, b: BraidWord, budget: int) -> tuple[bool, int
     of b's representative, then `summit_search` aimed at that circuit.
     """
     n = a.strands
-    if garside._coloured_cycle_type(a) != garside._coloured_cycle_type(b):
+    if coloured_keys(a) != coloured_keys(b):
         return False, 0
     rep_a, _, _ = garside._reduce_to_summit(n, garside._raw_normal_form(a))
     _, _, circuit = garside._reduce_to_summit(n, garside._raw_normal_form(b))
@@ -1063,9 +1079,14 @@ def test_colouring_is_the_image_in_the_wreath_product():
         perm, colours = garside._word_colouring(w)
         assert perm == underlying_permutation(w).images
         assert sum(colours) == 2 * exponent_sum(w)
-        assert garside._raw_colouring(n, garside._raw_normal_form(w)) == (perm, colours), w
+        # conjugation by a simple s relabels each cycle c as s(c)
+        s = tuple(rng.sample(range(1, n + 1), n))
+        s_word = word(n, garside._permutation_braid_word(s))
+        moved = garside._coloured_cycles(*garside._word_colouring(conjugate(invert_word(s_word), w)))
+        relabelled = garside._relabel(garside._coloured_cycles(perm, colours), s)
+        assert canonical_cycles(relabelled) == canonical_cycles(moved), (w, s)
         u = random_word(rng, n, rng.randint(0, 6))
-        assert garside._coloured_cycle_type(conjugate(u, w)) == garside._coloured_cycle_type(w)
+        assert coloured_keys(conjugate(u, w)) == coloured_keys(w)
 
 
 def test_compatible_conjugators_match_brute_force():
@@ -1078,11 +1099,13 @@ def test_compatible_conjugators_match_brute_force():
         words += [random_word(rng, n, rng.randint(1, 8)) for _ in range(6)]
         for w in words:
             x = garside._raw_normal_form(w)
-            x_cycles = garside._coloured_cycles(*garside._raw_colouring(n, x))
+            px, colours = garside._word_colouring(w)
+            x_cycles = garside._coloured_cycles(px, colours)
             for k in range(4):
                 u = ident if k == 0 else tuple(rng.sample(ident, n))
                 target = garside._conjugate_raw(n, x, u) if k else x
-                t_perm, t_colours = garside._raw_colouring(n, target)
+                u_word = word(n, garside._permutation_braid_word(u))
+                t_perm, t_colours = garside._word_colouring(conjugate(invert_word(u_word), w))
                 t_cycles = garside._coloured_cycles(t_perm, t_colours)
                 coset = garside._matchings(x_cycles, t_cycles)
                 count = math.prod(
@@ -1098,7 +1121,6 @@ def test_compatible_conjugators_match_brute_force():
                 table_hits += len(hits)
                 # the coset is every s that carries each cycle onto one of
                 # the same length and colour sum
-                px, colours = garside._raw_colouring(n, x)
                 want = {
                     s for s in itertools.permutations(ident)
                     if garside._t_then(garside._t_then(garside._t_inv(s), px), s) == t_perm

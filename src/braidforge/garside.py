@@ -45,8 +45,9 @@ maps to ℤ ≀ S_n, each strand coloured by the signed crossings it takes
 part in, and s^{-1} x s can be a state of the circuit only when s carries
 each cycle of x's permutation onto a cycle of that state's with the same
 length and colour sum, so a node tests those first and returns at the first
-hit.  The colours are read once from each input word and carried by
-relabelling: conjugation by s moves each cycle c to s(c).
+hit.  The colours are read once from each input word, by the strand walk
+in `words`, and carried by relabelling: conjugation by s moves each cycle c
+to s(c).
 Reducible-braid structure (see `cabling`) is always caller-supplied, never
 detected here.
 """
@@ -63,6 +64,7 @@ from .words import (
     MAX_WORD_LETTERS,
     BraidWord,
     Permutation,
+    _word_colouring,
     conjugate,
     exponent_sum,
     identity_word,
@@ -105,6 +107,8 @@ MAX_NF_ENTRIES = 5_000_000
 # this bounds the time a node takes: 0.9-1.0 s at n = 8 on a 2-core x86-64
 # VM, and nine times as many conjugates at n = 9.
 # Tests, demos, verify-paper and the benchmark expand nodes up to n = 6.
+# Summit-set work is what repeats pairs, so it is also the most strands of
+# a pair the _renorm cache keeps.
 MAX_SEARCH_STRANDS = 8
 
 
@@ -148,16 +152,14 @@ def _t_tau(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([m - v for v in reversed(p)])
 
 
-# The most pairs the _renorm cache keeps.  The benchmark's conj-qp workload
-# reuses about 4 300 pairs round after round, but summit-set searches at
-# n = 7 fill the cache, and a smaller one misses more there: five 3-node
-# searches in B_7 make 178 553 misses at this size and 239 118 at 8 192
-# entries, and take 1.4 s against 1.5-1.8 s on a 2-core x86-64 VM.
+# The most pairs the _renorm cache keeps, each of at most MAX_SEARCH_STRANDS
+# strands.  The benchmark's conj-qp workload reuses about 4 300 pairs round
+# after round, but summit-set searches at n = 7 fill the cache, and a
+# smaller one misses more there: five 3-node searches in B_7 make 178 553
+# misses at this size and 239 118 at 8 192 entries, and take 1.4 s against
+# 1.5-1.8 s on a 2-core x86-64 VM.  Filled by normal forms at n = 8 it
+# holds about 26 MB by tracemalloc, and the resident set grows by 29 MB.
 _RENORM_CACHE_SIZE = 1 << 16
-
-# The most strands of a pair the cache keeps, so that a full cache holds
-# about 40 MB whatever n is; larger pairs are left-weighted uncached.
-_RENORM_CACHE_STRANDS = 16
 
 
 @lru_cache(maxsize=_RENORM_CACHE_SIZE)
@@ -172,9 +174,11 @@ def _renorm(a: tuple[int, ...], b: tuple[int, ...]):
     descents of b and the ascents of a^{-1} at i-1, i and i+1; after it i is
     an ascent of b until a neighbour moves.  So a stack of candidate indices
     drives the moves, each costs O(1), and a pair costs O(n) plus O(1) per
-    transferred letter.  Results are cached, at most _RENORM_CACHE_SIZE of
-    them (least recently used first out), for pairs of at most
-    _RENORM_CACHE_STRANDS strands.
+    transferred letter.  `_normalize` and `_slide` use the cache, at most
+    _RENORM_CACHE_SIZE results (least recently used first out), only on at
+    most MAX_SEARCH_STRANDS strands, where summit-set work repeats pairs;
+    above it they call `_renorm.__wrapped__`, since fresh long words rarely
+    repeat a pair.
     """
     n = len(a)
     # a^{-1} and b, 1-based; b is padded so that indices 0 and n never move
@@ -223,7 +227,7 @@ def _normalize(n: int, delta: int, factors: list[tuple[int, ...]]) -> RawNF:
     """
     ident = _t_identity(n)
     w0 = _t_w0(n)
-    renorm = _renorm if n <= _RENORM_CACHE_STRANDS else _renorm.__wrapped__
+    renorm = _renorm if n <= MAX_SEARCH_STRANDS else _renorm.__wrapped__
     out: list[tuple[int, ...]] = []
     for f in factors:
         if f == ident:
@@ -657,7 +661,7 @@ def _slide(n: int, x: RawNF) -> tuple[tuple[int, ...], RawNF]:
     Returns (𝔭(x), 𝔭(x)^{-1} x 𝔭(x)); x itself when 𝔭(x) = 1.
     """
     p, f = x
-    renorm = _renorm if n <= _RENORM_CACHE_STRANDS else _renorm.__wrapped__
+    renorm = _renorm if n <= MAX_SEARCH_STRANDS else _renorm.__wrapped__
     last = f[-1]
     moved, _ = renorm(last, _t_tau(f[0]) if p % 2 else f[0])
     if moved == last:
@@ -699,33 +703,10 @@ def _reduce_to_summit(
     return x, steps, circuit
 
 
-# --- the image in ℤ ≀ S_n: each strand coloured by its signed crossings ------
+# --- the image in ℤ ≀ S_n (`words._word_colouring`) up to conjugacy --------
 
 # cycles of a permutation, each keyed by (length, colour sum)
 ColouredCycles = dict[tuple[int, int], tuple[tuple[int, ...], ...]]
-
-
-def _word_colouring(w: BraidWord) -> tuple[tuple[int, ...], list[int]]:
-    """
-    The image of w in ℤ ≀ S_n: its permutation, and for each strand (by
-    starting position) its colour, the sum of ε over the letters σ_i^ε that
-    cross it.  A homomorphism: in a product the colours of the second
-    factor are added along the strands' positions after the first.
-    """
-    n = w.strands
-    strand_at = list(range(n))  # position -> strand, both from 0
-    colours = [0] * n
-    for v in w.letters:
-        i = abs(v)
-        e = 1 if v > 0 else -1
-        left, right = strand_at[i - 1], strand_at[i]
-        colours[left] += e
-        colours[right] += e
-        strand_at[i - 1], strand_at[i] = right, left
-    perm = [0] * n
-    for pos, strand in enumerate(strand_at, 1):
-        perm[strand] = pos
-    return tuple(perm), colours
 
 
 def _coloured_cycles(perm: tuple[int, ...], colours: list[int]) -> ColouredCycles:

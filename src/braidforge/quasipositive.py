@@ -30,6 +30,7 @@ from .garside import (
 )
 from .words import (
     BraidWord,
+    _check_strands,
     concat,
     exponent_sum,
     format_word,
@@ -92,6 +93,7 @@ class QPCertificate:
     bands: tuple[Band, ...] = ()
 
     def __post_init__(self):
+        _check_strands(self.strands)
         for band in self.bands:
             if band.strands != self.strands:
                 raise ValueError("band strand count differs from certificate")
@@ -247,7 +249,7 @@ def certificate_from_json(data: dict) -> QPCertificate:
     read so far pass its bound."""
     if not (
         isinstance(data, dict)
-        and isinstance(data.get("n"), int)
+        and type(data.get("n")) is int
         and isinstance(data.get("bands"), list)
     ):
         raise ValueError('certificate must be an object with an integer "n" and a "bands" list')
@@ -258,7 +260,7 @@ def certificate_from_json(data: dict) -> QPCertificate:
         if not (
             isinstance(entry, dict)
             and isinstance(entry.get("conj"), str)
-            and isinstance(entry.get("gen"), int)
+            and type(entry.get("gen")) is int
         ):
             raise ValueError('each band must be an object with a "conj" word and an integer "gen"')
         band = Band(parse_word(entry["conj"], n), entry["gen"])

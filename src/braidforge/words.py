@@ -21,6 +21,11 @@ text that would expand to more than MAX_WORD_LETTERS letters is rejected
 before the letters are allocated.  A BraidWord holds its letters as these
 signed integers, and has at most MAX_STRANDS strands, checked before anything
 of size n is allocated.
+
+A word's image in the wreath product ℤ ≀ S_n, its permutation together with
+each strand's signed crossing count, is read here by one walk of the strands
+(`_word_colouring`); `underlying_permutation` keeps the permutation, and
+`garside` the whole image, as a conjugacy invariant.
 """
 
 from __future__ import annotations
@@ -45,6 +50,14 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
+def _check_strands(n: int) -> None:
+    """Raise ValueError unless n is an int strand count in [1, MAX_STRANDS]."""
+    if type(n) is not int:
+        raise ValueError(f"strand count must be an int, got {n!r}")
+    if not 1 <= n <= MAX_STRANDS:
+        raise ValueError(f"strand count must be in [1, {MAX_STRANDS}], got {n}")
+
+
 @dataclass(frozen=True, slots=True)
 class BraidWord:
     """
@@ -59,10 +72,7 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if type(self.strands) is not int:
-            raise ValueError(f"strand count must be an int, got {self.strands!r}")
-        if not 1 <= self.strands <= MAX_STRANDS:
-            raise ValueError(f"strand count must be in [1, {MAX_STRANDS}], got {self.strands}")
+        _check_strands(self.strands)
         top = self.strands - 1
         for v in self.letters:
             if type(v) is not int:
@@ -117,12 +127,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, including fixed points; each cycle starts at its
         smallest element, cycles ordered by smallest element."""
@@ -173,6 +177,30 @@ def exponent_sum(w: BraidWord) -> int:
     return sum(1 if v > 0 else -1 for v in w.letters)
 
 
+def _word_colouring(w: BraidWord) -> tuple[tuple[int, ...], list[int]]:
+    """
+    The image of w in ℤ ≀ S_n, from one walk of its strands: its permutation,
+    the images of `underlying_permutation`, and for each strand (by starting
+    position) its colour, the sum of ε over the letters σ_i^ε that cross it.
+    A homomorphism: in a product the colours of the second factor are added
+    along the strands' positions after the first.
+    """
+    n = w.strands
+    strand_at = list(range(n))  # position -> strand, both from 0
+    colours = [0] * n
+    for v in w.letters:
+        i = abs(v)
+        e = 1 if v > 0 else -1
+        left, right = strand_at[i - 1], strand_at[i]
+        colours[left] += e
+        colours[right] += e
+        strand_at[i - 1], strand_at[i] = right, left
+    perm = [0] * n
+    for pos, strand in enumerate(strand_at, 1):
+        perm[strand] = pos
+    return tuple(perm), colours
+
+
 def underlying_permutation(w: BraidWord) -> Permutation:
     """
     The image of w under B_n → S_n, σ_i ↦ (i, i+1): maps each starting
@@ -180,12 +208,7 @@ def underlying_permutation(w: BraidWord) -> Permutation:
     for the product that applies the left factor first, matching the
     left-to-right reading of words.
     """
-    # Track position → strand with O(1) swaps, then invert once.
-    pos_to_strand = list(range(1, w.strands + 1))
-    for v in w.letters:
-        i = abs(v)
-        pos_to_strand[i - 1], pos_to_strand[i] = pos_to_strand[i], pos_to_strand[i - 1]
-    return Permutation(tuple(pos_to_strand)).inverse()
+    return Permutation(_word_colouring(w)[0])
 
 
 def power(w: BraidWord, d: int) -> BraidWord:

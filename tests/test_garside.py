@@ -53,6 +53,7 @@ from braidforge.words import (
     MAX_WORD_LETTERS,
     BraidWord,
     Permutation,
+    _word_colouring,
     concat,
     conjugate,
     exponent_sum,
@@ -342,13 +343,17 @@ def test_renorm_matches_rescan():
 
 def test_renorm_cache_is_bounded():
     assert isinstance(garside._renorm.cache_info().maxsize, int)
-    # in pairs and in strands: larger pairs are left-weighted uncached
-    n = garside._RENORM_CACHE_STRANDS
-    garside._renorm.cache_clear()
-    normal_form(random_word(random.Random(3), n + 1, 200))
-    assert garside._renorm.cache_info().currsize == 0
-    normal_form(random_word(random.Random(3), n, 200))
-    assert garside._renorm.cache_info().currsize > 0
+    # in pairs and in strands: pairs above the search's strand limit are
+    # left-weighted uncached, by the normal form and by sliding alike
+    limit = garside.MAX_SEARCH_STRANDS
+    for n, cached in ((limit + 1, False), (limit, True)):
+        garside._renorm.cache_clear()
+        normal_form(random_word(random.Random(3), n, 200))
+        assert (garside._renorm.cache_info().currsize > 0) == cached
+        garside._renorm.cache_clear()
+        x = garside._raw_normal_form(word(n, [1, 2, -3, 1, 2, 3, -2, 4]))
+        assert garside._slide(n, x)[0] != garside._t_identity(n)
+        assert (garside._renorm.cache_info().currsize > 0) == cached
 
 
 def letterwise_raw_normal_form(w: BraidWord):
@@ -545,18 +550,31 @@ def test_heap_reduction():
                             assert e * i in reduced and -e * i in reduced
 
 
-def test_kernel_renorm_calls():
+def test_kernel_renorm_calls(monkeypatch):
     # a 1000-letter word in B_16: 50 127 _renorm calls letter by letter with
     # every Δ moved left one pair per call; 8 918 from simple steps with each
     # Δ sent to the front at once and a left-to-right sweep; 2 275 from the
-    # heap-reduced word with one right-to-left pass per factor
+    # heap-reduced word with one right-to-left pass per factor.  B_16 is past
+    # the cache, so a stand-in for _renorm counts the calls of its __wrapped__
+    calls = [0]
+    uncached = garside._renorm.__wrapped__
+
+    def counted(a, b):
+        calls[0] += 1
+        return uncached(a, b)
+
+    def cached(a, b):
+        raise AssertionError("B_16 pairs are not looked up in the cache")
+
+    cached.__wrapped__ = counted
+    monkeypatch.setattr(garside, "_renorm", cached)
     rng = random.Random(5)
     w = word(16, [rng.choice((-1, 1)) * rng.randint(1, 15) for _ in range(1000)])
-    garside._renorm.cache_clear()
     nf = normal_form(w)
-    info = garside._renorm.cache_info()
     assert (nf.delta_power, len(nf.factors)) == (-43, 89)
-    assert info.hits + info.misses <= 2_500
+    # each factor of the result was appended to a nonempty form but the first,
+    # and every such append costs at least one call
+    assert len(nf.factors) - 1 <= calls[0] <= 2_500
 
 
 def test_normal_form_rewrite_invariance():
@@ -822,7 +840,7 @@ def summit_search(n: int, rep_a, targets, budget: int) -> tuple[bool, int]:
 
 def coloured_keys(w: BraidWord) -> list[tuple[int, int]]:
     """The (length, colour sum) of every cycle of w's image in ℤ ≀ S_n, sorted."""
-    groups = garside._coloured_cycles(*garside._word_colouring(w))
+    groups = garside._coloured_cycles(*_word_colouring(w))
     return sorted(key for key, group in groups.items() for _ in group)
 
 
@@ -1076,13 +1094,26 @@ def test_colouring_is_the_image_in_the_wreath_product():
     for _ in range(200):
         n = rng.randint(2, 7)
         w = random_word(rng, n, rng.randint(0, 14))
-        perm, colours = garside._word_colouring(w)
-        assert perm == underlying_permutation(w).images
+        perm, colours = _word_colouring(w)
+        # oracle: compose the letters' transpositions, and colour the two
+        # strands that each letter crosses, read off the prefix before it
+        # (start position -> position now)
+        prefix = list(range(1, n + 1))
+        expected = [0] * n
+        for v in w:
+            i = abs(v)
+            for start, pos in enumerate(prefix):
+                if pos in (i, i + 1):
+                    expected[start] += 1 if v > 0 else -1
+            swap = {i: i + 1, i + 1: i}
+            prefix = [swap.get(pos, pos) for pos in prefix]
+        assert perm == tuple(prefix)
+        assert colours == expected
         assert sum(colours) == 2 * exponent_sum(w)
         # conjugation by a simple s relabels each cycle c as s(c)
         s = tuple(rng.sample(range(1, n + 1), n))
         s_word = word(n, garside._permutation_braid_word(s))
-        moved = garside._coloured_cycles(*garside._word_colouring(conjugate(invert_word(s_word), w)))
+        moved = garside._coloured_cycles(*_word_colouring(conjugate(invert_word(s_word), w)))
         relabelled = garside._relabel(garside._coloured_cycles(perm, colours), s)
         assert canonical_cycles(relabelled) == canonical_cycles(moved), (w, s)
         u = random_word(rng, n, rng.randint(0, 6))
@@ -1099,13 +1130,13 @@ def test_compatible_conjugators_match_brute_force():
         words += [random_word(rng, n, rng.randint(1, 8)) for _ in range(6)]
         for w in words:
             x = garside._raw_normal_form(w)
-            px, colours = garside._word_colouring(w)
+            px, colours = _word_colouring(w)
             x_cycles = garside._coloured_cycles(px, colours)
             for k in range(4):
                 u = ident if k == 0 else tuple(rng.sample(ident, n))
                 target = garside._conjugate_raw(n, x, u) if k else x
                 u_word = word(n, garside._permutation_braid_word(u))
-                t_perm, t_colours = garside._word_colouring(conjugate(invert_word(u_word), w))
+                t_perm, t_colours = _word_colouring(conjugate(invert_word(u_word), w))
                 t_cycles = garside._coloured_cycles(t_perm, t_colours)
                 coset = garside._matchings(x_cycles, t_cycles)
                 count = math.prod(

@@ -20,6 +20,7 @@ from braidforge.quasipositive import (
     verify,
 )
 from braidforge.words import (
+    MAX_STRANDS,
     conjugate,
     exponent_sum,
     identity_word,
@@ -94,6 +95,20 @@ def test_certificate_from_json_counts_the_expansion():
     data = {"n": 10, "bands": [band] * 3 + [{"conj": 1}]}
     with pytest.raises(ValueError, match="a word of 599997 letters on 10 strands is more than"):
         certificate_from_json(data)
+
+
+def test_certificate_strand_count_is_checked():
+    # bools, counts below 1 and counts past words.MAX_STRANDS are refused when
+    # the certificate is made, as by BraidWord, and by certificate_from_json
+    for n in (True, False, 0, -3, MAX_STRANDS + 1, 10**9, 4.0, "4"):
+        with pytest.raises(ValueError, match="strand count must be"):
+            QPCertificate(n)
+        with pytest.raises(ValueError):
+            certificate_from_json({"n": n, "bands": []})
+    assert certificate_to_json(QPCertificate(MAX_STRANDS)) == {"n": MAX_STRANDS, "bands": []}
+    # a band's generator must be an int, not a bool
+    with pytest.raises(ValueError, match='an integer "gen"'):
+        certificate_from_json({"n": 3, "bands": [{"conj": "", "gen": True}]})
 
 
 def test_verify():

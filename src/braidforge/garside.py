@@ -107,8 +107,6 @@ MAX_NF_ENTRIES = 5_000_000
 # this bounds the time a node takes: 0.9-1.0 s at n = 8 on a 2-core x86-64
 # VM, and nine times as many conjugates at n = 9.
 # Tests, demos, verify-paper and the benchmark expand nodes up to n = 6.
-# Summit-set work is what repeats pairs, so it is also the most strands of
-# a pair the _renorm cache keeps.
 MAX_SEARCH_STRANDS = 8
 
 
@@ -152,14 +150,20 @@ def _t_tau(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([m - v for v in reversed(p)])
 
 
-# The most pairs the _renorm cache keeps, each of at most MAX_SEARCH_STRANDS
-# strands.  The benchmark's conj-qp workload reuses about 4 300 pairs round
-# after round, but summit-set searches at n = 7 fill the cache, and a
-# smaller one misses more there: five 3-node searches in B_7 make 178 553
-# misses at this size and 239 118 at 8 192 entries, and take 1.4 s against
-# 1.5-1.8 s on a 2-core x86-64 VM.  Filled by normal forms at n = 8 it
-# holds about 26 MB by tracemalloc, and the resident set grows by 29 MB.
+# The most pairs the _renorm cache keeps.  The benchmark's conj-qp workload
+# reuses about 4 300 pairs round after round, but summit-set searches at
+# n = 7 fill the cache, and a smaller one misses more there: five 3-node
+# searches in B_7 make 178 553 misses at this size and 239 118 at 8 192
+# entries, and take 1.4 s against 1.5-1.8 s on a 2-core x86-64 VM.
 _RENORM_CACHE_SIZE = 1 << 16
+
+# The most strands of a pair the cache keeps, so that a full cache holds
+# about 35 MB (tracemalloc, filled by normal forms at n = 16) whatever n is;
+# larger pairs are left-weighted uncached.  It is a memory bound, not the
+# search's MAX_SEARCH_STRANDS: sliding-circuit work runs at any n, and at
+# n 9-16 an is_conjugate call decided before its first node finds about
+# half of its slides' pairs in the cache.
+_RENORM_CACHE_STRANDS = 16
 
 
 @lru_cache(maxsize=_RENORM_CACHE_SIZE)
@@ -174,11 +178,9 @@ def _renorm(a: tuple[int, ...], b: tuple[int, ...]):
     descents of b and the ascents of a^{-1} at i-1, i and i+1; after it i is
     an ascent of b until a neighbour moves.  So a stack of candidate indices
     drives the moves, each costs O(1), and a pair costs O(n) plus O(1) per
-    transferred letter.  `_normalize` and `_slide` use the cache, at most
-    _RENORM_CACHE_SIZE results (least recently used first out), only on at
-    most MAX_SEARCH_STRANDS strands, where summit-set work repeats pairs;
-    above it they call `_renorm.__wrapped__`, since fresh long words rarely
-    repeat a pair.
+    transferred letter.  Results are cached, at most _RENORM_CACHE_SIZE of
+    them (least recently used first out), for pairs of at most
+    _RENORM_CACHE_STRANDS strands.
     """
     n = len(a)
     # a^{-1} and b, 1-based; b is padded so that indices 0 and n never move
@@ -227,7 +229,7 @@ def _normalize(n: int, delta: int, factors: list[tuple[int, ...]]) -> RawNF:
     """
     ident = _t_identity(n)
     w0 = _t_w0(n)
-    renorm = _renorm if n <= MAX_SEARCH_STRANDS else _renorm.__wrapped__
+    renorm = _renorm if n <= _RENORM_CACHE_STRANDS else _renorm.__wrapped__
     out: list[tuple[int, ...]] = []
     for f in factors:
         if f == ident:
@@ -661,7 +663,7 @@ def _slide(n: int, x: RawNF) -> tuple[tuple[int, ...], RawNF]:
     Returns (𝔭(x), 𝔭(x)^{-1} x 𝔭(x)); x itself when 𝔭(x) = 1.
     """
     p, f = x
-    renorm = _renorm if n <= MAX_SEARCH_STRANDS else _renorm.__wrapped__
+    renorm = _renorm if n <= _RENORM_CACHE_STRANDS else _renorm.__wrapped__
     last = f[-1]
     moved, _ = renorm(last, _t_tau(f[0]) if p % 2 else f[0])
     if moved == last:

@@ -341,19 +341,36 @@ def test_renorm_matches_rescan():
         assert garside._renorm(a2, b2) == expected
 
 
-def test_renorm_cache_is_bounded():
+def test_renorm_cache_is_bounded(monkeypatch):
     assert isinstance(garside._renorm.cache_info().maxsize, int)
-    # in pairs and in strands: pairs above the search's strand limit are
-    # left-weighted uncached, by the normal form and by sliding alike
-    limit = garside.MAX_SEARCH_STRANDS
+    # in pairs and in strands: larger pairs are left-weighted uncached
+    limit = garside._RENORM_CACHE_STRANDS
     for n, cached in ((limit + 1, False), (limit, True)):
         garside._renorm.cache_clear()
         normal_form(random_word(random.Random(3), n, 200))
         assert (garside._renorm.cache_info().currsize > 0) == cached
-        garside._renorm.cache_clear()
+    # and so by a slide: a stand-in for _renorm records, for each pair, whether
+    # it was looked up in the cache; the slide's own (φ(x), ι(x)) pair comes
+    # first, then those of its conjugation by the prefix
+    real = garside._renorm
+    looked_up: list[bool] = []
+
+    def stand_in(a, b):
+        looked_up.append(True)
+        return real(a, b)
+
+    def uncached(a, b):
+        looked_up.append(False)
+        return real.__wrapped__(a, b)
+
+    stand_in.__wrapped__ = uncached
+    monkeypatch.setattr(garside, "_renorm", stand_in)
+    for n, cached in ((limit + 1, False), (limit, True)):
         x = garside._raw_normal_form(word(n, [1, 2, -3, 1, 2, 3, -2, 4]))
-        assert garside._slide(n, x)[0] != garside._t_identity(n)
-        assert (garside._renorm.cache_info().currsize > 0) == cached
+        looked_up.clear()
+        prefix, y = garside._slide(n, x)
+        assert prefix != garside._t_identity(n) and y != x
+        assert looked_up[0] == cached and set(looked_up) == {cached}
 
 
 def letterwise_raw_normal_form(w: BraidWord):
@@ -554,20 +571,21 @@ def test_kernel_renorm_calls(monkeypatch):
     # a 1000-letter word in B_16: 50 127 _renorm calls letter by letter with
     # every Δ moved left one pair per call; 8 918 from simple steps with each
     # Δ sent to the front at once and a left-to-right sweep; 2 275 from the
-    # heap-reduced word with one right-to-left pass per factor.  B_16 is past
-    # the cache, so a stand-in for _renorm counts the calls of its __wrapped__
+    # heap-reduced word with one right-to-left pass per factor.  A stand-in
+    # for _renorm counts the calls, looked up in the cache or not
+    real = garside._renorm
     calls = [0]
-    uncached = garside._renorm.__wrapped__
 
     def counted(a, b):
         calls[0] += 1
-        return uncached(a, b)
+        return real(a, b)
 
-    def cached(a, b):
-        raise AssertionError("B_16 pairs are not looked up in the cache")
+    def counted_uncached(a, b):
+        calls[0] += 1
+        return real.__wrapped__(a, b)
 
-    cached.__wrapped__ = counted
-    monkeypatch.setattr(garside, "_renorm", cached)
+    counted.__wrapped__ = counted_uncached
+    monkeypatch.setattr(garside, "_renorm", counted)
     rng = random.Random(5)
     w = word(16, [rng.choice((-1, 1)) * rng.randint(1, 15) for _ in range(1000)])
     nf = normal_form(w)

@@ -138,6 +138,11 @@ class RegularForm:
     interiors: tuple[BraidWord, ...]
 
     def __post_init__(self):
+        # tuples, whatever sequences were given: `assemble` compares the
+        # widths with the tuple the cabling ends on, and equal forms compare
+        # equal field by field
+        object.__setattr__(self, "widths", tuple(self.widths))
+        object.__setattr__(self, "interiors", tuple(self.interiors))
         orbits = _check_widths(self.tubular, self.widths)
         if len(self.interiors) != len(orbits):
             raise ValueError(
@@ -164,6 +169,9 @@ class TubePositionAssignment:
     interiors: tuple[BraidWord, ...]
 
     def __post_init__(self):
+        # tuples, as in RegularForm
+        object.__setattr__(self, "widths", tuple(self.widths))
+        object.__setattr__(self, "interiors", tuple(self.interiors))
         if len(self.interiors) != len(self.widths):
             raise ValueError("one interior braid per tube position required")
         for width, interior in zip(self.widths, self.interiors):
@@ -246,7 +254,7 @@ def normalize_interiors(
             accumulated += assignment.interiors[a - 1].letters
         interiors.append(word(widths[orbit[0] - 1], accumulated))
     conjugator = word(sum(widths), chain.from_iterable(reversed(movers)))
-    regular = RegularForm(tubular, widths, tuple(interiors))
+    regular = RegularForm(tubular, widths, interiors)
     general_word = assemble_assignment(tubular, assignment)
     if not is_equal(conjugate(conjugator, general_word), assemble(regular)):
         raise AssertionError("internal error: interior normalization conjugator failed")
@@ -434,7 +442,7 @@ def regular_form_from_json(data: dict) -> RegularForm:
             raise ValueError(f"orbit {i} is given more than one interior")
         given.add(i)
         interiors[i] = parse_word(entry["word"], widths[orbits[i][0] - 1])
-    return RegularForm(tubular, widths, tuple(interiors))
+    return RegularForm(tubular, widths, interiors)
 
 
 def assignment_from_json(data: dict) -> tuple[BraidWord, TubePositionAssignment]:

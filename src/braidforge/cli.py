@@ -129,7 +129,7 @@ def _qp_verify(a):
 def _qp_obstruct(a):
     from . import quasipositive as qp
 
-    verdict = qp.obstruct(parse_word(a.word, a.n), budget=a.budget)
+    verdict = qp.obstruct(parse_word(a.word, a.n))
     out = {"status": verdict.status.value}
     if verdict.reason is not None:
         out["reason"] = verdict.reason.value
@@ -284,7 +284,7 @@ COMMANDS = (
         "qp verify", "verify a certificate against a word", "",
         {"cert": "certificate JSON", "word": WORD}, _qp_verify,
     ),
-    Command("qp obstruct", "apply the obstruction rules", "-n --budget", {"word": WORD}, _qp_obstruct),
+    Command("qp obstruct", "apply the obstruction rules", "-n", {"word": WORD}, _qp_obstruct),
     Command("qp root", "certificate for a periodic root", "-n --budget -d", {"word": WORD}, _qp_root),
     Command(
         "cable assemble", "assemble a regular form", "",

@@ -30,7 +30,10 @@ loop's steps are dropped from the conjugator and kept as the circuit, any
 state of which the search may land on.  A conjugator is a list of simple
 steps, and the witness is normalized once, then verified.  The search
 carries an explicit node budget; exhausting it raises BudgetExceededError
-rather than guessing.
+rather than guessing.  The same sliding, with no search, writes a braid
+whose circuit is positive as a conjugate of a positive braid
+(`_positive_conjugate`): that is how `quasipositive.obstruct` certifies a
+band.
 
 Normal forms are not confined to desk scale.  Reducing a word is linear in
 its length.  Left-weighting a pair costs O(n) plus O(1) per letter it moves
@@ -705,6 +708,31 @@ def _reduce_to_summit(
     return x, steps, circuit
 
 
+def _positive_conjugate(b: BraidWord, slide: bool) -> tuple[BraidWord, BraidWord] | None:
+    """
+    Words g and p with p positive and b = g · p · g^{-1}, or None when the
+    left normal form x of b has negative inf.  Without slide, p is x written
+    out and g is empty.  With slide, x is first slid onto its sliding
+    circuit, where inf is the largest in b's conjugacy class, so that None
+    means that no conjugate of b is positive; g then undoes the slides.
+
+    A slide s nearer Δ than the identity is shorter written as Δ · (∂s)^{-1},
+    ∂s = s^{-1}Δ, and a braid with negative inf slides by such s, of about
+    n²/2 letters each.  So, for m of them, g is the product of the slides
+    times Δ^{-m}, written as a left fraction by `nf_to_word`, and p has
+    σ_{n-i} for σ_i when m is odd, since Δ σ_i Δ^{-1} = σ_{n-i}.
+    """
+    n = b.strands
+    x, steps = _raw_normal_form(b), []
+    if slide:
+        x, steps, _ = _reduce_to_summit(n, x)
+    if x[0] < 0:
+        return None
+    m = sum(4 * len(_permutation_braid_word(s)) > n * (n - 1) for s, _ in steps)
+    g = nf_to_word(_wrap(n, _product(n, steps + [(_t_w0(n), -1)] * m)))
+    return g, word(n, [n - v if m % 2 else v for v in nf_to_word(_wrap(n, x)).letters])
+
+
 # --- the image in ℤ ≀ S_n (`words._word_colouring`) up to conjugacy --------
 
 # cycles of a permutation, each keyed by (length, colour sum)
@@ -722,6 +750,17 @@ def _coloured_cycles(perm: tuple[int, ...], colours: list[int]) -> ColouredCycle
         key = (len(cycle), sum(colours[v - 1] for v in cycle))
         groups.setdefault(key, []).append(cycle)
     return {key: tuple(group) for key, group in groups.items()}
+
+
+def _wreath_class(w: BraidWord) -> tuple[ColouredCycles, dict[tuple[int, int], int]]:
+    """
+    The coloured cycles of w, read from the word, and their type: how many
+    cycles there are of each (length, colour sum).  Two braids' images in
+    ℤ ≀ S_n are conjugate iff their types are equal, so the type is a cheap
+    conjugacy invariant, which also fixes the exponent sum.
+    """
+    cycles = _coloured_cycles(*_word_colouring(w))
+    return cycles, {key: len(group) for key, group in cycles.items()}
 
 
 def _relabel(cycles: ColouredCycles, s: tuple[int, ...]) -> ColouredCycles:
@@ -778,11 +817,8 @@ def is_conjugate(
     if a.strands != b.strands:
         raise ValueError(f"strand counts differ: {a.strands} vs {b.strands}")
     n = a.strands
-    # cheap conjugacy invariant, read from the words: the image in ℤ ≀ S_n up
-    # to conjugacy, which also fixes the exponent sum
-    a_cycles = _coloured_cycles(*_word_colouring(a))
-    b_cycles = _coloured_cycles(*_word_colouring(b))
-    if {k: len(g) for k, g in a_cycles.items()} != {k: len(g) for k, g in b_cycles.items()}:
+    (a_cycles, a_type), (b_cycles, b_type) = _wreath_class(a), _wreath_class(b)
+    if a_type != b_type:
         return ConjugacyResult(False, None, 0)
 
     raw_b = _raw_normal_form(b)

@@ -8,9 +8,16 @@ ordered list of bands — which can be expanded to a word and verified against
 any candidate braid exactly.
 
 No general decision procedure for quasipositivity is known, so `obstruct`
-applies only sound rules: exponent-sum obstructions, the fact that a
-quasipositive braid of exponent sum one must be a single band, and positivity
-as a sufficient condition.  Anything else is honestly UNKNOWN.
+applies only sound rules, and runs no conjugacy search:
+- a quasipositive braid is a product of ab bands, ab its exponent sum, so
+  ab < 0 is fatal, and ab = 0 leaves only the identity;
+- a positive braid is quasipositive, one band per letter;
+- for ab = 1 it is a single band, a conjugate of σ_1, and a band is first
+  refused by its image in ℤ ≀ S_n, then decided on its sliding circuit,
+  whose representative has the largest inf in its conjugacy class: b is a
+  band iff that inf is >= 0, since a positive braid of exponent sum one is
+  one letter σ_j.
+Anything else is honestly UNKNOWN.
 """
 
 from __future__ import annotations
@@ -19,13 +26,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .garside import (
-    BudgetExceededError,
     DEFAULT_BUDGET,
     _check_nf_size,
-    is_conjugate,
+    _positive_conjugate,
+    _wreath_class,
     is_equal,
-    nf_to_word,
-    normal_form,
     periodic_root,
 )
 from .words import (
@@ -34,7 +39,6 @@ from .words import (
     concat,
     exponent_sum,
     format_word,
-    identity_word,
     invert_word,
     parse_word,
     power,
@@ -102,13 +106,10 @@ class QPCertificate:
         return len(self.bands)
 
 
-def trivial_certificate(positive: BraidWord) -> QPCertificate:
-    """One trivially-conjugated band per letter of an all-positive word."""
-    if any(v < 0 for v in positive.letters):
-        raise ValueError("trivial certificates need an all-positive word")
-    n = positive.strands
-    bands = tuple(Band(identity_word(n), v) for v in positive.letters)
-    return QPCertificate(n, bands)
+def _conjugated_positive(g: BraidWord, p: BraidWord) -> QPCertificate:
+    """The certificate of g·p·g^{-1} for a positive word p: one band
+    g σ_i g^{-1} per letter σ_i of p."""
+    return QPCertificate(p.strands, tuple(Band(g, v) for v in p.letters))
 
 
 def expand(cert: QPCertificate) -> BraidWord:
@@ -175,41 +176,38 @@ class QPVerdict:
     certificate: QPCertificate | None = None
 
 
-def obstruct(b: BraidWord, budget: int = DEFAULT_BUDGET) -> QPVerdict:
+def obstruct(b: BraidWord) -> QPVerdict:
     """
-    Classify b by sound quasipositivity rules, in order: the identity is QP
-    with the empty certificate; negative exponent sum is fatal; exponent sum
-    zero off the identity is fatal; exponent sum one forces a single band, so
-    b is QP iff conjugate to σ_1; positive braids are QP one band per letter.
-    Everything else is UNKNOWN, as is the sum-one rule when the conjugacy
-    budget runs out.
+    Classify b, of exponent sum ab, by sound quasipositivity rules, in
+    order, with no conjugacy search:
+    1. ab < 0 is NOT_QP (NEGATIVE_EXPONENT_SUM).
+    2. ab = 1 with an image in ℤ ≀ S_n not conjugate to σ_1's is NOT_QP
+       (ABELIANIZATION_ONE_NOT_BAND).
+    3. b is QP when its left normal form, slid onto its sliding circuit if
+       ab = 1, is positive: b = g·p·g^{-1} for g the slides and p positive,
+       certified by one band g σ_i g^{-1} per letter of p.  The identity is
+       the empty word p, and for ab = 1 p is one letter σ_j.
+    4. Otherwise ab = 0 is NOT_QP (ZERO_EXPONENT_NONIDENTITY), and ab = 1
+       is NOT_QP (ABELIANIZATION_ONE_NOT_BAND): the circuit has the largest
+       inf in b's conjugacy class, so no conjugate of b is a letter σ_j.
+       Everything else is UNKNOWN.
+    A QP certificate is verified against b before it is returned.
     """
-    n = b.strands
-    nf = normal_form(b)
-    if nf.delta_power == 0 and not nf.factors:
-        return QPVerdict(QPStatus.QP, certificate=QPCertificate(n, ()))
     ab = exponent_sum(b)
     if ab < 0:
         return QPVerdict(QPStatus.NOT_QP, NotQPReason.NEGATIVE_EXPONENT_SUM)
-    if ab == 0:
-        return QPVerdict(QPStatus.NOT_QP, NotQPReason.ZERO_EXPONENT_NONIDENTITY)
-    if ab == 1:
-        try:
-            res = is_conjugate(word(n, [1]), b, budget=budget)
-        except BudgetExceededError:
-            return QPVerdict(QPStatus.UNKNOWN)
-        if res.conjugate:
-            cert = QPCertificate(n, (Band(res.witness, 1),))
-            if not verify(cert, b):
-                raise AssertionError("internal error: band certificate failed verification")
-            return QPVerdict(QPStatus.QP, certificate=cert)
+    if ab == 1 and _wreath_class(b)[1] != _wreath_class(word(b.strands, [1]))[1]:
         return QPVerdict(QPStatus.NOT_QP, NotQPReason.ABELIANIZATION_ONE_NOT_BAND)
-    if nf.delta_power >= 0:
-        cert = trivial_certificate(nf_to_word(nf))
+    found = _positive_conjugate(b, slide=ab == 1)
+    if found is not None:
+        cert = _conjugated_positive(*found)
         if not verify(cert, b):
-            raise AssertionError("internal error: positive certificate failed verification")
+            raise AssertionError("internal error: certificate failed verification")
         return QPVerdict(QPStatus.QP, certificate=cert)
-    return QPVerdict(QPStatus.UNKNOWN)
+    if ab > 1:
+        return QPVerdict(QPStatus.UNKNOWN)
+    reason = NotQPReason.ABELIANIZATION_ONE_NOT_BAND if ab else NotQPReason.ZERO_EXPONENT_NONIDENTITY
+    return QPVerdict(QPStatus.NOT_QP, reason)
 
 
 def qp_root_periodic(
@@ -224,7 +222,7 @@ def qp_root_periodic(
     root = periodic_root(b, d, budget=budget)
     if root is None or root.power < 0:
         return None
-    cert = conjugate_certificate(trivial_certificate(root.to_word()), root.conjugator)
+    cert = _conjugated_positive(root.conjugator, root.to_word())
     if not is_equal(power(expand(cert), d), b):
         raise AssertionError("internal error: root certificate failed verification")
     return cert

@@ -250,6 +250,18 @@ def test_normalize_product_order():
     assert is_equal(regular.interiors[0], word(2, [1, 1]))
 
 
+def test_list_widths_are_stored_as_tuples():
+    # widths and interiors given as lists behave as the same tuples: the
+    # cabling's closing check compares the widths with a tuple
+    rf = RegularForm(word(2, [1]), [2, 2], [parse_word("-1 -1", 2)])
+    assert rf == RegularForm(word(2, [1]), (2, 2), (parse_word("-1 -1", 2),))
+    assert assemble(rf).signed_ints() == (2, 3, 1, 2, -1, -1)
+    assignment = TubePositionAssignment([2, 2], [word(2, [1]), word(2, [1])])
+    assert assignment.widths == (2, 2) and isinstance(assignment.interiors, tuple)
+    regular, _ = normalize_interiors(word(2, [1]), assignment)
+    assert regular.interiors == (word(2, [1, 1]),)
+
+
 def test_normalize_round_trip_randomized():
     rng = random.Random(37)
     for _ in range(40):

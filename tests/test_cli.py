@@ -328,12 +328,16 @@ def test_parse_error_exit_code(capsys):
         ["cable", "normalize", '{"tubular": "", "widths": [%d], "positions": [""]}' % (MAX_STRANDS + 1)],
     ]:
         assert fails_with_one_line(capsys, argv), argv
-    # conjugacy searches that would expand nodes just past
-    # garside.MAX_SEARCH_STRANDS, and one that ends before its first node
+    # a conjugacy search that would expand nodes just past
+    # garside.MAX_SEARCH_STRANDS; qp obstruct runs no search, so the same
+    # band is certified there, by one band
     over = str(MAX_SEARCH_STRANDS + 1)
-    for argv in [["conj", "-n", over, "1", "2"], ["qp", "obstruct", "-n", over, "2"]]:
-        assert fails_with_one_line(capsys, argv), argv
-    assert run(["qp", "obstruct", "-n", "12", "1"]) == 0
+    assert fails_with_one_line(capsys, ["conj", "-n", over, "1", "2"])
+    for argv in [["qp", "obstruct", "-n", over, "2"], ["qp", "obstruct", "-n", "12", "1"]]:
+        code, report = run_json(capsys, argv)
+        assert code == 0 and report["verdict"]["status"] == "qp", argv
+        cert = qp.certificate_from_json(report["witnesses"]["certificate"])
+        assert len(cert) == 1 and qp.verify(cert, parse_word(argv[-1], int(argv[3]))), argv
     # short words whose normal form word passes the letter cap.  In B_30,
     # x = σ1 σ3 ... σ29 and y = σ2 σ4 ... σ28 have the left lcm Δ, so the
     # 29 letters of x y^-1 become a left fraction of 841; (x y^-1)^300 would
@@ -422,10 +426,13 @@ def test_budget_exit_code(capsys):
     for argv in [
         ["conj", "-n", "3", "1", "1"],
         ["root", "-n", "3", "-d", "2", "1"],
-        ["qp", "obstruct", "-n", "3", "1"],
         ["qp", "root", "-n", "3", "-d", "2", "1"],
     ]:
         assert fails_with_one_line(capsys, argv + ["--budget", "-1"]), argv
+    # qp obstruct runs no conjugacy search, so it takes no budget
+    with pytest.raises(SystemExit) as err:
+        run(["qp", "obstruct", "-n", "3", "1", "--budget", "5"])
+    assert err.value.code == 1
 
 
 def test_verify_paper_under_python_O():

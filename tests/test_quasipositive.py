@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from braidforge.garside import MAX_NF_ENTRIES, is_equal, half_twist
+from braidforge import garside, quasipositive
+from braidforge.garside import MAX_NF_ENTRIES, BudgetExceededError, is_equal, half_twist
 from braidforge.quasipositive import (
     Band,
     NotQPReason,
@@ -189,9 +190,8 @@ def test_obstruct_ab_one_not_band():
     w = parse_word("1 1 1 -2 -1", 3)
     assert exponent_sum(w) == 1
     verdict = obstruct(w)
-    assert verdict.status in (QPStatus.NOT_QP, QPStatus.UNKNOWN)
-    if verdict.status is QPStatus.NOT_QP:
-        assert verdict.reason is NotQPReason.ABELIANIZATION_ONE_NOT_BAND
+    assert verdict.status is QPStatus.NOT_QP
+    assert verdict.reason is NotQPReason.ABELIANIZATION_ONE_NOT_BAND
 
 
 def test_obstruct_positive_words():
@@ -227,6 +227,101 @@ def test_obstruct_conjugation_invariance():
         v2 = obstruct(conjugate(u, b))
         if QPStatus.UNKNOWN not in (v1.status, v2.status):
             assert v1.status == v2.status
+
+
+def local_word(rng, n, i, length):
+    """A random word in the generators within three of σ_i."""
+    lo, hi = max(1, i - 3), min(n - 1, i + 3)
+    return word(n, (rng.choice([-1, 1]) * rng.randint(lo, hi) for _ in range(length)))
+
+
+def test_obstruct_certifies_bands_at_any_strand_count():
+    # the sum-one rule slides b itself, with no summit-set search, so it has
+    # no strand limit: bands past garside.MAX_SEARCH_STRANDS get one band.
+    # At n = 200 the slides are near Δ, of 19 900 letters, and the
+    # conjugator is written with a Δ^-1 taken off each, in a few letters
+    rng = random.Random(29)
+    for n in [garside.MAX_SEARCH_STRANDS, *range(9, 17), 200]:
+        for _ in range(3):
+            i = rng.randint(1, n - 1)
+            u = local_word(rng, n, i, 8)
+            b = conjugate(u, word(n, [i]))
+            verdict = obstruct(b)
+            assert verdict.status is QPStatus.QP, (n, b)
+            assert len(verdict.certificate) == 1 and verify(verdict.certificate, b)
+            assert len(verdict.certificate.bands[0].conjugator) <= len(u) + n
+    # in B_1000 the slides cost seconds, so these bands are positive once
+    # freely reduced: σ_500 and σ_499
+    for text in ["7 8 -7 500 7 -8 -7", "-500 -499 500 499 500"]:
+        b = parse_word(text, 1000)
+        verdict = obstruct(b)
+        assert len(verdict.certificate) == 1 and verify(verdict.certificate, b)
+
+
+def sum_one_corpus(seed, count):
+    """Seeded words of exponent sum one in B_2..B_6, conjugated by random
+    words: bands; bands with a commutator σ_j²σ_{j+1}²σ_j⁻²σ_{j+1}⁻²
+    inserted, which keeps every strand's crossing count, so that the image
+    in ℤ ≀ S_n is σ_1's; and random words."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(count):
+        n = rng.randint(2, 6)
+        kind = index % 3 if n > 2 else 2 * (index % 3 == 2)
+        core = [rng.randint(1, n - 1)]
+        if kind == 1:
+            j = rng.randint(1, n - 2)
+            core[rng.randint(0, 1):0] = [j, j, j + 1, j + 1, -j, -j, -j - 1, -j - 1]
+        elif kind == 2:
+            core = list(random_word(rng, n, rng.randint(0, 6)).letters)
+            e = 1 - exponent_sum(word(n, core))
+            core += [(1 if e > 0 else -1) * rng.randint(1, n - 1) for _ in range(abs(e))]
+        out.append(conjugate(random_word(rng, n, rng.randint(0, 4)), word(n, core)))
+    return out
+
+
+def reference_sum_one(b):
+    """The sum-one rule as a conjugacy search: b is a band iff the summit-set
+    search finds it conjugate to σ_1."""
+    if garside.is_conjugate(word(b.strands, [1]), b).conjugate:
+        return QPStatus.QP, None
+    return QPStatus.NOT_QP, NotQPReason.ABELIANIZATION_ONE_NOT_BAND
+
+
+def test_obstruct_sum_one_matches_the_conjugacy_search():
+    kinds = set()
+    for b in sum_one_corpus(31, 300):
+        assert exponent_sum(b) == 1
+        verdict = obstruct(b)
+        try:
+            expected = reference_sum_one(b)
+        except BudgetExceededError:
+            continue
+        assert (verdict.status, verdict.reason) == expected, b
+        if verdict.status is QPStatus.QP:
+            assert len(verdict.certificate) == 1 and verify(verdict.certificate, b)
+        kinds.add(verdict.status)
+    assert kinds == {QPStatus.QP, QPStatus.NOT_QP}
+
+
+def test_obstruct_runs_no_conjugacy_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("obstruct ran the conjugacy search")
+
+    monkeypatch.setattr(garside, "is_conjugate", refuse)
+    monkeypatch.setattr(quasipositive, "is_conjugate", refuse, raising=False)
+    cases = [
+        ("2 1 -2", 3, QPStatus.QP),
+        ("-3 -2 1 2 3", 7, QPStatus.QP),
+        ("1 1 1 -2 -1", 3, QPStatus.NOT_QP),
+        ("3 3 4 4 -3 -3 -4 -4 2", 5, QPStatus.NOT_QP),
+        ("1 2 -2 -1", 3, QPStatus.QP),
+        ("1 -2", 3, QPStatus.NOT_QP),
+        ("2 1 -1 1", 3, QPStatus.QP),
+        ("-1 2 2 1", 3, QPStatus.UNKNOWN),
+    ]
+    for text, n, status in cases:
+        assert obstruct(parse_word(text, n)).status is status, text
 
 
 def test_qp_root_periodic_examples():
